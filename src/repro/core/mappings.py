@@ -90,6 +90,18 @@ class FeatureMapping(abc.ABC):
         xs = as_2d_float_array(xs, name="xs")
         return np.array([self.value(row) for row in xs], dtype=np.float64)
 
+    def value_rows(self, xs: np.ndarray) -> np.ndarray:
+        """Evaluate ``f`` for a batch of rows, **row-exact**.
+
+        Element ``i`` is bit-identical to ``value(xs[i])`` whatever the
+        batch shape — the contract :meth:`value_many` does not make (its
+        vectorised kernels may round differently per row).  The base
+        implementation loops over :meth:`value`; subclasses override it
+        only with a kernel that keeps the contract.
+        """
+        xs = as_2d_float_array(xs, name="xs")
+        return np.array([self.value(row) for row in xs], dtype=np.float64)
+
     def gradient(self, x: np.ndarray) -> np.ndarray | None:
         """Analytic gradient ``df/dx`` at ``x``, or ``None`` if unavailable."""
         return None
@@ -155,6 +167,14 @@ class LinearMapping(FeatureMapping):
     def value_many(self, xs: np.ndarray) -> np.ndarray:
         xs = self._check_input(as_2d_float_array(xs, name="xs"))
         return xs @ self.coefficients + self.constant
+
+    def value_rows(self, xs: np.ndarray) -> np.ndarray:
+        # A stacked matmul takes one BLAS dot per row, the kernel
+        # ``value`` uses, where the gemv of ``value_many`` may round
+        # differently (the ``vector_norm_many`` trick).
+        xs = self._check_input(as_2d_float_array(xs, name="xs"))
+        return np.matmul(self.coefficients, xs[:, :, None])[:, 0] \
+            + self.constant
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         self._check_input(x)

@@ -13,10 +13,12 @@ feature, and records:
   ``beta`` consumed along the trajectory (1.0 = the bound was reached);
 * **time-to-first-violation**.
 
-Trajectories are independent and fan out through a
-:class:`~repro.resilience.SupervisedExecutor`; each is a pure function
-of ``(seed, scenario, trajectory)``, so the merged result is
-bit-identical for any worker count, traced or untraced.
+A trajectory is evaluated as one ``(steps x dim)`` block rather than a
+loop of scalar steps.  Trajectories are independent and fan out through
+a :class:`~repro.resilience.SupervisedExecutor` as one contiguous chunk
+per worker; each is a pure function of ``(seed, scenario, trajectory)``,
+so the merged result is bit-identical for any worker count, traced or
+untraced.
 
 The lab measures distances in a *shared* P-space (one weighting for all
 features), so radius-dependent weightings (sensitivity) are rejected —
@@ -38,6 +40,7 @@ from repro.exceptions import SpecificationError
 from repro.observability import emit_event, span
 from repro.parallel.executor import Task
 from repro.scenarios.shocks import ShockScenario
+from repro.utils.linalg import vector_norm_many
 
 __all__ = [
     "ReplayContext",
@@ -52,9 +55,10 @@ class ReplayContext:
     """The picklable slice of an analysis a replay worker needs.
 
     Built once per lab run with :meth:`from_analysis` and shipped to
-    worker processes alongside each trajectory task; everything in it is
-    plain data (parameters, feature specs, the shared P-space alphas and
-    the norm), so the supervised executor can fan trajectories out.
+    worker processes alongside each chunk of trajectories; everything in
+    it is plain data (parameters, feature specs, the shared P-space
+    alphas and the norm), so the supervised executor can fan
+    trajectories out.
     """
 
     params: tuple[PerturbationParameter, ...]
@@ -85,7 +89,7 @@ class ReplayContext:
                    norm=float(analysis.norm))
 
     def pspace(self) -> ConcatenatedPerturbation:
-        """Rebuild the shared P-space (cheap, done once per trajectory)."""
+        """Rebuild the shared P-space (cheap, done once per task)."""
         return ConcatenatedPerturbation(list(self.params), self.alphas,
                                         weighting_name="lab")
 
@@ -134,71 +138,69 @@ class TrajectoryResult:
         return self.n_violations / self.n_steps if self.n_steps else 0.0
 
 
-def _margin_used(value: float, original: float, beta_min: float,
-                 beta_max: float) -> float:
-    """Fraction of the margin from the original value to a bound consumed.
+def _max_drawdown(values: np.ndarray, original: float, beta_min: float,
+                  beta_max: float) -> float:
+    """Worst fraction of the margin to a bound consumed over ``values``.
 
-    Computed against whichever finite bound the value moved towards;
-    0 when it moved away from every finite bound, > 1 once violated.
+    Each step is measured against whichever finite bound its value moved
+    towards: 0 when it moved away from every finite bound, > 1 once
+    violated.
     """
-    used = 0.0
-    if math.isfinite(beta_max) and beta_max > original and value > original:
-        used = max(used, (value - original) / (beta_max - original))
-    if math.isfinite(beta_min) and beta_min < original and value < original:
-        used = max(used, (original - value) / (original - beta_min))
-    return used
+    used = np.zeros(values.shape)
+    if math.isfinite(beta_max) and beta_max > original:
+        up = values > original
+        used[up] = (values[up] - original) / (beta_max - original)
+    if math.isfinite(beta_min) and beta_min < original:
+        down = values < original
+        used[down] = (original - values[down]) / (original - beta_min)
+    return float(used.max())
 
 
-def _replay_trajectory_task(ctx: ReplayContext, scenario: ShockScenario,
-                            seed: int, trajectory: int,
-                            frozen: str | None = None) -> TrajectoryResult:
-    """Replay one trajectory — a pure, picklable, module-level task.
+def _replay_chunk_task(ctx: ReplayContext, scenario: ShockScenario,
+                       seed: int, start: int, stop: int,
+                       frozen: str | None = None
+                       ) -> list[TrajectoryResult]:
+    """Replay trajectories ``start..stop-1`` — a pure, picklable task.
 
-    ``frozen`` names one perturbation parameter whose displacement is
-    suppressed (held at its original value) — the ablation lever.
+    Each trajectory is evaluated as one ``(steps x dim)`` block: one
+    block draw, one clip per parameter, row-wise distances and one
+    row-exact :meth:`~repro.core.mappings.FeatureMapping.value_rows`
+    call per feature.  ``frozen`` names one perturbation parameter whose
+    displacement is suppressed (held at its original value) — the
+    ablation lever.
     """
     pspace = ctx.pspace()
-    originals = {spec.name: spec.mapping.value(pspace.pi_orig)
-                 for spec in ctx.features}
-    order = np.inf if ctx.norm in (np.inf, "inf") else ctx.norm
-    violations: list[bool] = []
-    distances: list[float] = []
-    drawdown = {name: 0.0 for name in originals}
-    first_violation: int | None = None
-    for step in range(scenario.n_steps):
-        disp = scenario.displacements(seed, trajectory, step, ctx.params)
-        if frozen is not None:
-            disp.pop(frozen, None)
-        values = {}
-        for p in ctx.params:
-            block = disp.get(p.name)
-            if block is None:
-                continue
-            values[p.name] = p.clip_to_bounds(p.original + block)
-        flat = pspace.flatten_values(values)
-        distances.append(float(np.linalg.norm(
-            pspace.to_p(flat) - pspace.p_orig, ord=order)))
-        violated = False
-        for spec in ctx.features:
-            value = float(spec.mapping.value(flat))
+    originals = [spec.mapping.value(pspace.pi_orig) for spec in ctx.features]
+    moved = [(p, pspace.block_slice(p.name)) for p in ctx.params
+             if p.name != frozen]
+    results = []
+    for trajectory in range(start, stop):
+        disp = scenario.displacement_block(seed, trajectory, ctx.params)
+        flats = np.tile(pspace.pi_orig, (scenario.n_steps, 1))
+        for p, sl in moved:
+            if p.name in disp:
+                flats[:, sl] = p.clip_to_bounds(p.original + disp[p.name])
+        distances = vector_norm_many(
+            pspace.alphas * flats - pspace.p_orig, ctx.norm)
+        violated = np.zeros(scenario.n_steps, dtype=bool)
+        drawdown = {}
+        for spec, original in zip(ctx.features, originals):
+            values = spec.mapping.value_rows(flats)
             bounds = spec.feature.bounds
-            drawdown[spec.name] = max(
-                drawdown[spec.name],
-                _margin_used(value, originals[spec.name],
-                             bounds.beta_min, bounds.beta_max))
-            if not spec.feature.is_satisfied(value):
-                violated = True
-        violations.append(violated)
-        if violated and first_violation is None:
-            first_violation = step
-    return TrajectoryResult(
-        scenario=scenario.name,
-        trajectory=trajectory,
-        violations=tuple(violations),
-        distances=tuple(distances),
-        first_violation_step=first_violation,
-        max_drawdown=drawdown,
-    )
+            violated |= ~((bounds.beta_min <= values)
+                          & (values <= bounds.beta_max))
+            drawdown[spec.name] = _max_drawdown(
+                values, original, bounds.beta_min, bounds.beta_max)
+        results.append(TrajectoryResult(
+            scenario=scenario.name,
+            trajectory=trajectory,
+            violations=tuple(violated.tolist()),
+            distances=tuple(distances.tolist()),
+            first_violation_step=(int(np.argmax(violated))
+                                  if violated.any() else None),
+            max_drawdown=drawdown,
+        ))
+    return results
 
 
 @dataclass(frozen=True)
@@ -317,30 +319,50 @@ def replay_scenario(
     executor:
         Optional executor (typically a
         :class:`~repro.resilience.SupervisedExecutor`) to fan
-        trajectories out through; quarantined trajectories are re-run
-        in-process so the result never contains sentinels.
+        trajectories out through, as ``min(executor.workers,
+        n_trajectories)`` contiguous chunks; quarantined chunks are
+        re-run in-process so the result never contains sentinels.
     frozen:
         Optional parameter name whose displacements are suppressed
-        (the ablation lever).
+        (the ablation lever); must name a parameter of ``ctx``.
+
+    Raises
+    ------
+    SpecificationError
+        For a non-positive trajectory count, a ``frozen`` name that is
+        not a parameter, or a scenario whose parameter names or drift
+        directions do not fit ``ctx.params`` — before any task runs.
     """
     if n_trajectories < 1:
         raise SpecificationError(
             f"n_trajectories must be >= 1, got {n_trajectories}")
-    scenario.active_params(ctx.params)  # validate names up front
-    tasks = [Task(_replay_trajectory_task,
-                  (ctx, scenario, int(seed), t, frozen))
-             for t in range(n_trajectories)]
+    # Validate names and drift directions up front: a bad scenario must
+    # raise here, not inside workers the supervisor would retry.
+    scenario.active_params(ctx.params)
+    names = [p.name for p in ctx.params]
+    if frozen is not None and frozen not in names:
+        raise SpecificationError(
+            f"cannot freeze unknown parameter {frozen!r}; have {names}")
+    # One contiguous chunk of trajectories per worker, merged back in
+    # trajectory order; a chunk's results do not depend on its bounds.
+    chunks = 1 if executor is None else min(executor.workers, n_trajectories)
+    cuts = [n_trajectories * i // chunks for i in range(chunks + 1)]
+    tasks = [Task(_replay_chunk_task,
+                  (ctx, scenario, int(seed), start, stop, frozen))
+             for start, stop in zip(cuts, cuts[1:])]
     with span("lab.replay", scenario=scenario.name,
-              trajectories=n_trajectories, frozen=frozen or ""):
+              trajectories=n_trajectories, frozen=frozen or "",
+              shards=len(tasks)):
         if executor is not None:
             # Imported lazily (resilience imports core modules this
             # package sits next to; avoid any chance of a cycle).
             from repro.resilience.supervisor import resolve_task_failures
 
-            results = resolve_task_failures(executor.run(tasks), tasks,
-                                            executor=executor)
+            chunk_results = resolve_task_failures(executor.run(tasks), tasks,
+                                                  executor=executor)
         else:
-            results = [task() for task in tasks]
+            chunk_results = [task() for task in tasks]
+    results = [t for chunk in chunk_results for t in chunk]
     # Workers return private copies of the scenario-name and feature-name
     # strings; re-point every trajectory at the caller's instances so the
     # merged result pickles byte-identically to a serial run (pickle

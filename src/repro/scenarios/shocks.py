@@ -138,16 +138,36 @@ class ShockScenario:
     def active_params(
         self, params: Sequence[PerturbationParameter]
     ) -> list[PerturbationParameter]:
-        """The subset of ``params`` this scenario perturbs (in order)."""
-        if not self.params:
-            return list(params)
+        """The subset of ``params`` this scenario perturbs (in order).
+
+        Also checks the scenario against ``params``: every name in
+        :attr:`params` must exist, and every :attr:`directions` key must
+        name a touched parameter and carry that parameter's length.
+        """
         by_name = {p.name: p for p in params}
-        missing = [n for n in self.params if n not in by_name]
-        if missing:
-            raise SpecificationError(
-                f"scenario {self.name!r} names unknown parameter(s) "
-                f"{missing}; have {sorted(by_name)}")
-        return [by_name[n] for n in self.params]
+        if self.params:
+            missing = [n for n in self.params if n not in by_name]
+            if missing:
+                raise SpecificationError(
+                    f"scenario {self.name!r} names unknown parameter(s) "
+                    f"{missing}; have {sorted(by_name)}")
+            active = [by_name[n] for n in self.params]
+        else:
+            active = list(params)
+        if self.directions is not None:
+            touched = {p.name: p for p in active}
+            stray = sorted(set(self.directions) - set(touched))
+            if stray:
+                raise SpecificationError(
+                    f"scenario {self.name!r} has directions for "
+                    f"parameter(s) {stray} it does not touch; it touches "
+                    f"{sorted(touched)}")
+            for name, vec in self.directions.items():
+                if len(vec) != touched[name].dimension:
+                    raise SpecificationError(
+                        f"direction for {name!r} has length {len(vec)}, "
+                        f"expected {touched[name].dimension}")
+        return active
 
     # ------------------------------------------------------------------
     # the draw
@@ -159,55 +179,69 @@ class ShockScenario:
         """Per-parameter pi-space displacement of one step.
 
         Pure in ``(seed, scenario, trajectory, step)``; parameters the
-        scenario does not touch are absent from the result.
+        scenario does not touch are absent from the result.  The one-row
+        case of :meth:`displacement_block`.
         """
         if not 0 <= step < self.n_steps:
             raise SpecificationError(
                 f"step must be in [0, {self.n_steps}), got {step}")
+        block = self.displacement_block(seed, trajectory, params,
+                                        steps=(step,))
+        return {name: rows[0] for name, rows in block.items()}
+
+    def displacement_block(
+        self, seed: int, trajectory: int,
+        params: Sequence[PerturbationParameter],
+        steps: Sequence[int] | None = None,
+    ) -> dict[str, np.ndarray]:
+        """Per-parameter displacements of a block of steps, one row each.
+
+        Returns ``{name: (len(steps), dimension)}`` for the touched
+        parameters; ``steps`` defaults to the whole trajectory.  Every
+        step still draws from its own ``(scenario_key, trajectory,
+        step)`` stream, so row ``i`` is bit-identical to
+        ``displacements(seed, trajectory, steps[i], params)``.
+        """
         active = self.active_params(params)
+        steps = np.arange(self.n_steps) if steps is None \
+            else np.asarray(steps, dtype=np.int64)
         if self.kind == "spike":
-            return self._spike(seed, trajectory, step, active)
+            return self._spike(seed, trajectory, steps, active)
         if self.kind == "drift":
-            return self._drift(seed, trajectory, step, active)
-        return self._correlated(seed, trajectory, step, active)
+            return self._drift(seed, trajectory, steps, active)
+        return self._correlated(seed, trajectory, steps, active)
 
-    def _spike(self, seed, trajectory, step, active
+    def _spike(self, seed, trajectory, steps, active
                ) -> dict[str, np.ndarray]:
-        rng = self._rng(seed, trajectory, step)
-        if rng.random() >= self.rate:
-            return {p.name: np.zeros(p.dimension) for p in active}
-        out = {}
-        for p in active:
-            noise = rng.standard_normal(p.dimension)
-            mask = rng.random(p.dimension) < 0.5
-            out[p.name] = self.magnitude * noise * mask
-        return out
+        noise = [np.zeros((steps.size, p.dimension)) for p in active]
+        mask = [np.zeros((steps.size, p.dimension), dtype=bool)
+                for p in active]
+        for row, step in enumerate(steps):
+            rng = self._rng(seed, trajectory, step)
+            if rng.random() >= self.rate:
+                continue  # silent step: zero noise, nothing masked in
+            for j, p in enumerate(active):
+                noise[j][row] = rng.standard_normal(p.dimension)
+                mask[j][row] = rng.random(p.dimension) < 0.5
+        return {p.name: self.magnitude * n * m
+                for p, n, m in zip(active, noise, mask)}
 
-    def _drift(self, seed, trajectory, step, active
+    def _drift(self, seed, trajectory, steps, active
                ) -> dict[str, np.ndarray]:
-        ramp = self.magnitude * (step + 1) / self.n_steps
+        ramp = self.magnitude * (steps + 1) / self.n_steps
         if self.jitter:
-            u = self._rng(seed, trajectory, step).random()
-            ramp *= 1.0 + self.jitter * (2.0 * u - 1.0)
-        return {p.name: ramp * block
+            u = np.array([self._rng(seed, trajectory, step).random()
+                          for step in steps])
+            ramp = ramp * (1.0 + self.jitter * (2.0 * u - 1.0))
+        return {p.name: ramp[:, None] * block
                 for p, block in zip(active, self._direction_blocks(active))}
 
     def _direction_blocks(self, active) -> list[np.ndarray]:
         """Unit-style direction split per parameter (drift only)."""
         if self.directions is not None:
-            blocks = []
-            for p in active:
-                vec = self.directions.get(p.name)
-                if vec is None:
-                    blocks.append(np.zeros(p.dimension))
-                    continue
-                arr = np.asarray(vec, dtype=np.float64)
-                if arr.size != p.dimension:
-                    raise SpecificationError(
-                        f"direction for {p.name!r} has length {arr.size}, "
-                        f"expected {p.dimension}")
-                blocks.append(arr)
-            return blocks
+            return [np.asarray(self.directions[p.name], dtype=np.float64)
+                    if p.name in self.directions else np.zeros(p.dimension)
+                    for p in active]
         # Default: uniform inflation, normalised so the concatenated
         # direction has unit Euclidean length (magnitude == final
         # pi-space displacement length, as for explicit unit directions).
@@ -215,16 +249,17 @@ class ShockScenario:
         scale = 1.0 / math.sqrt(total)
         return [np.full(p.dimension, scale) for p in active]
 
-    def _correlated(self, seed, trajectory, step, active
+    def _correlated(self, seed, trajectory, steps, active
                     ) -> dict[str, np.ndarray]:
         static = self._rng(seed, trajectory, _STATIC_STEP)
         loadings = [static.standard_normal(p.dimension) for p in active]
         norm = math.sqrt(sum(float(b @ b) for b in loadings))
         if norm == 0.0:  # pragma: no cover - measure-zero draw
             norm = 1.0
-        factor = float(self._rng(seed, trajectory, step).standard_normal())
+        factor = np.array([self._rng(seed, trajectory, step).standard_normal()
+                           for step in steps])
         scale = self.magnitude * factor / norm
-        return {p.name: scale * block
+        return {p.name: scale[:, None] * block
                 for p, block in zip(active, loadings)}
 
     def to_dict(self) -> dict:

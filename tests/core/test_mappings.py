@@ -27,6 +27,25 @@ class TestLinearMapping:
         batch = m.value_many(xs)
         np.testing.assert_allclose(batch, [m.value(x) for x in xs])
 
+    def test_value_rows_is_row_exact(self, rng):
+        """``value_rows`` matches ``value`` bit for bit on every row,
+        across dimensions, batch shapes and coefficient scales."""
+        for _ in range(200):
+            dim = int(rng.integers(1, 65))
+            rows = int(rng.integers(1, 81))
+            m = LinearMapping(rng.normal(size=dim) * 10.0 ** rng.integers(
+                -3, 4, size=dim), constant=float(rng.normal()))
+            xs = rng.normal(size=(rows, dim)) * 10.0 ** rng.integers(
+                -3, 4, size=(rows, dim))
+            batch = m.value_rows(xs)
+            assert batch.shape == (rows,)
+            for x, got in zip(xs, batch):
+                assert np.float64(m.value(x)).tobytes() == got.tobytes()
+
+    def test_value_rows_checks_width(self):
+        with pytest.raises(DimensionMismatchError):
+            LinearMapping([1.0, 2.0]).value_rows(np.ones((3, 4)))
+
     def test_gradient_is_coefficients(self):
         k = np.array([1.0, -2.0])
         m = LinearMapping(k)
@@ -249,6 +268,17 @@ class TestRestrictedMapping:
     def test_reference_length_checked(self):
         with pytest.raises(DimensionMismatchError):
             RestrictedMapping(LinearMapping([1.0, 1.0]), [0], np.zeros(3))
+
+
+class TestBaseValueRows:
+    def test_loops_over_value(self, rng):
+        """The base implementation is row-exact by construction."""
+        m = QuadraticMapping(rng.normal(size=(6, 6)), rng.normal(size=6),
+                             constant=0.3)
+        xs = rng.normal(size=(25, 6))
+        batch = m.value_rows(xs)
+        for x, got in zip(xs, batch):
+            assert np.float64(m.value(x)).tobytes() == got.tobytes()
 
 
 class TestReweightedMapping:

@@ -1,7 +1,8 @@
 """Acceptance: lab artifacts are bit-identical across execution modes.
 
 For a fixed seed the ``repro-lab-v1`` payload must not depend on *how*
-the lab ran: workers in {1, 4}, tracing on or off — the same contract
+the lab ran: workers in {1, 3, 4} (three workers cut four trajectories
+into uneven 1/1/2 chunks), tracing on or off — the same contract
 ``tests/resilience/test_chaos_invariance.py`` pins for the supervised
 executor, lifted to the whole scenario-lab pipeline (replay, bootstrap,
 ablation, gates)."""
@@ -54,7 +55,7 @@ def baseline(lab_system) -> dict:
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("workers", [1, 3, 4])
 def test_artifact_is_bit_identical(lab_system, baseline, workers, traced):
     payload = _run(lab_system, workers=workers, traced=traced)
     validate_bench_payload(payload)

@@ -128,6 +128,38 @@ class TestKinds:
         assert cos == pytest.approx(1.0)
 
 
+#: One scenario per draw routine, with its randomness switched on.
+BLOCK_CASES = {
+    "spike": _scenario("spike", rate=0.5),
+    "drift": _scenario("drift"),
+    "jittered-drift": _scenario("drift", jitter=0.5),
+    "explicit-directions": _scenario(
+        "drift", jitter=0.3,
+        directions={"exec_times": (0.6, 0.0, 0.8), "loads": (0.0, 1.0)}),
+    "correlated": _scenario("correlated"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_block_rows_are_the_per_step_draws(case):
+    """Row ``s`` of the block draw is step ``s`` drawn on its own — by
+    :meth:`ShockScenario.displacements` and by the scalar oracle."""
+    from tests.scenarios.scalar_replay import scalar_displacements
+
+    sc = BLOCK_CASES[case]
+    for trajectory in (0, 3):
+        block = sc.displacement_block(11, trajectory, PARAMS)
+        assert sorted(block) == ["exec_times", "loads"]
+        assert np.any(block["exec_times"])
+        for step in range(sc.n_steps):
+            one = sc.displacements(11, trajectory, step, PARAMS)
+            oracle = scalar_displacements(sc, 11, trajectory, step, PARAMS)
+            for p in PARAMS:
+                assert block[p.name].shape == (sc.n_steps, p.dimension)
+                for other in (one[p.name], oracle[p.name]):
+                    assert block[p.name][step].tobytes() == other.tobytes()
+
+
 class TestSpecGrammar:
     def test_round_trip(self):
         sc = parse_shock_spec(
