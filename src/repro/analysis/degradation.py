@@ -29,7 +29,12 @@ import numpy as np
 
 from repro.core.features import ToleranceBounds
 from repro.core.fepia import FeatureSpec, RobustnessAnalysis
-from repro.core.radius import RadiusProblem, RadiusResult, compute_radius
+from repro.core.radius import (
+    RadiusProblem,
+    RadiusResult,
+    _cache_pass,
+    compute_radius,
+)
 from repro.core.solvers.warm import WarmStart
 from repro.exceptions import SpecificationError
 from repro.observability import get_metrics, span
@@ -121,16 +126,26 @@ def _walk_family(
         # ProblemTensor group.  Bisection-tier families ride the tensor
         # kernel: one flattened expansion (or one warm-table replay) and
         # one batched refinement for the entire walk, with the same
-        # warm-start accounting the per-point path keeps per bound.
-        from repro.core.solvers.tensor import ProblemTensor
+        # warm-start accounting the per-point path keeps per bound.  The
+        # points keep compute_radius's cache pass; the misses are solved
+        # as one tensor, whose warm ray table binds the shared geometry
+        # exactly as the per-point walk would bind it.
+        from repro.core.solvers.tensor import (
+            ProblemTensor,
+            solve_problem_tensor,
+        )
 
         problems = [problem for _, problem in items]
         keys = {ProblemTensor.batch_key(p, method) for p in problems}
         key = keys.pop() if len(keys) == 1 else None
         if key is not None and key[0][0] == "bisection":
             with span("curve.family", family=family, points=len(items)):
-                results = _walk_family_tensor(problems, method, seed, warm,
-                                              cache)
+                results = _cache_pass(
+                    problems,
+                    lambda misses: solve_problem_tensor(
+                        ProblemTensor.pack(misses, method), seed=seed,
+                        warm=warm) if misses else [],
+                    method=method, seed=seed, cache=cache)
     if results is None:
         results = []
         for beta, problem in items:
@@ -142,38 +157,6 @@ def _walk_family(
         return results, {"warm_starts": 0, "warm_hits": 0}
     return results, {"warm_starts": warm.warm_starts,
                      "warm_hits": warm.warm_hits}
-
-
-def _walk_family_tensor(problems: list[RadiusProblem], method: str, seed,
-                        warm: WarmStart | None, cache) -> list[RadiusResult]:
-    """One family as one tensor solve, with per-point cache semantics.
-
-    Mirrors ``compute_radius``'s cache behaviour point by point (consult
-    before solving, store after), then solves every miss in a single
-    :func:`~repro.core.solvers.tensor.solve_problem_tensor` call that
-    threads the family's :class:`WarmStart` — the warm ray table binds
-    the shared geometry exactly as the per-point walk would bind it.
-    """
-    from repro.core.solvers.tensor import ProblemTensor, solve_problem_tensor
-    from repro.parallel.cache import resolve_cache
-
-    cache = resolve_cache(cache)
-    keys: list = [None] * len(problems)
-    results: list = [None] * len(problems)
-    if cache is not None:
-        for i, problem in enumerate(problems):
-            keys[i] = cache.key(problem, method=method, seed=seed)
-            results[i] = cache.get(keys[i])
-    pending = [i for i, r in enumerate(results) if r is None]
-    if pending:
-        tensor = ProblemTensor.pack([problems[i] for i in pending], method)
-        solved = solve_problem_tensor(tensor, seed=seed, warm=warm)
-        for i, result in zip(pending, solved):
-            results[i] = result
-        if cache is not None:
-            for i in pending:
-                cache.put(keys[i], results[i])
-    return results
 
 
 def _solve_families(

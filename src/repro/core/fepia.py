@@ -33,13 +33,13 @@ from repro.core.pspace import ConcatenatedPerturbation
 from repro.core.radius import (
     RadiusProblem,
     RadiusResult,
+    _cache_pass,
     compute_radii,
     compute_radius,
 )
 from repro.core.weighting import NormalizedWeighting, WeightingScheme
 from repro.exceptions import SpecificationError
 from repro.observability import span
-from repro.parallel.cache import resolve_cache
 from repro.parallel.executor import ParallelExecutor
 
 __all__ = ["FeatureSpec", "RobustnessAnalysis"]
@@ -223,21 +223,22 @@ class RobustnessAnalysis:
         )
 
     def _solve(self, problem: RadiusProblem) -> RadiusResult:
-        """Route a radius computation through the configured solver path."""
-        cache = resolve_cache(self.radius_cache)
-        key = None
-        if cache is not None:
-            key = cache.key(problem, method=self.method, seed=self.seed)
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-        if self.cascade is not None:
-            result = self.cascade.compute(problem, method=self.method)
-        else:
-            result = compute_radius(problem, method=self.method,
-                                    seed=self.seed, cache=False)
-        if cache is not None:
-            cache.put(key, result)
+        """Route a radius computation through the configured solver path.
+
+        A cascade solve is cached under its own ``cascade:<config>``
+        method token: a plain solve sharing the cache (the CLI's default
+        one, say) must never be served a cascade's answer, nor one
+        cascade another's.
+        """
+        if self.cascade is None:
+            return compute_radius(problem, method=self.method,
+                                  seed=self.seed, cache=self.radius_cache)
+        [result] = _cache_pass(
+            [problem],
+            lambda misses: [self.cascade.compute(p, method=self.method)
+                            for p in misses],
+            method=f"cascade:{self.cascade.config!r}", seed=self.seed,
+            cache=self.radius_cache)
         return result
 
     def _can_batch(self) -> bool:

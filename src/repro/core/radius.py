@@ -12,6 +12,14 @@ multistart numeric projection seeded by directional bisection.  A bound
 whose level set is unreachable contributes ``inf``; if *no* finite bound is
 reachable, the radius is infinite (the allocation can never be driven out
 of specification by these perturbations).
+
+Every path that produces a radius — :func:`compute_radius`,
+:func:`compute_radii`, the tensor kernel, the radius cache and the
+:class:`~repro.resilience.cascade.SolverCascade` — shares one pipeline:
+:func:`_tier_ladder` decides the solver tiers a problem walks and
+:data:`_SOLVERS` holds one solver per tier; :func:`_cache_pass` serves
+cached radii and stores fresh ones; :func:`_preflight` and :func:`_fold`
+turn per-bound crossings into a :class:`RadiusResult`.
 """
 
 from __future__ import annotations
@@ -169,6 +177,78 @@ class RadiusResult:
         return self.quality in (Quality.UPPER_BOUND, Quality.FAILED)
 
 
+#: Tiers with a closed-form answer: exact, and they never draw from the seed.
+_CLOSED_FORM = frozenset({"analytic", "analytic-box", "ellipsoid"})
+
+#: One solver per tier, called as ``(problem, form, bound, seed, warm)``.
+#: ``form`` is the affine or diagonal-quadratic view the closed-form tiers
+#: solve over (see :func:`_tier_ladder`); ``warm`` is an optional
+#: :class:`~repro.core.solvers.warm.WarmStart` the directional tiers replay
+#: (the closed forms have nothing to warm).
+_SOLVERS = {
+    "analytic": lambda p, form, b, seed, warm: solve_linear_radius(
+        form, p.origin, b, norm=p.norm, lower=p.lower, upper=p.upper),
+    "analytic-box": lambda p, form, b, seed, warm: solve_linear_box_radius(
+        form, p.origin, b, lower=p.lower, upper=p.upper),
+    "ellipsoid": lambda p, form, b, seed, warm: solve_ellipsoid_radius(
+        form, p.origin, b),
+    "numeric": lambda p, form, b, seed, warm: solve_numeric_radius(
+        p.mapping, p.origin, b, lower=p.lower, upper=p.upper, seed=seed,
+        warm=warm),
+    "bisection": lambda p, form, b, seed, warm: solve_bisection_radius(
+        p.mapping, p.origin, b, norm=p.norm, lower=p.lower, upper=p.upper,
+        seed=seed, warm=warm),
+}
+
+
+def _tier_ladder(problem: RadiusProblem, method: str
+                 ) -> tuple[tuple[str, ...], FeatureMapping | None]:
+    """The ordered solver tiers ``problem`` walks per bound under ``method``.
+
+    Returns ``(ladder, form)``.  Each bound tries the ladder's tiers in
+    order and keeps the first crossing found; otherwise the last tier's
+    answer stands.  ``form`` is the affine or diagonal-quadratic view the
+    closed-form tiers solve over (``None`` for a directional ladder).
+
+    * An affine mapping under ``"auto"`` or ``"analytic"`` takes the exact
+      hyperplane solver.  Under ``"auto"`` with a box, the Euclidean norm
+      takes the exact clamped-multiplier projection (``analytic-box``);
+      other norms try the unboxed hyperplane and fall through to
+      bisection when the box keeps it out of reach.
+    * A diagonal positive quadratic under ``"auto"``, unboxed and
+      Euclidean, takes the exact ellipsoid projection.
+    * Everything else takes directional bisection (forced, or any
+      non-Euclidean norm: the numeric projection minimises the Euclidean
+      distance only) or the numeric multistart.
+
+    Raises
+    ------
+    SpecificationError
+        For ``method="analytic"`` on a mapping that is not structurally
+        affine.
+    """
+    has_box = problem.lower is not None or problem.upper is not None
+    if method in ("auto", "analytic"):
+        linear = as_linear(problem.mapping)
+        if linear is not None:
+            if method == "analytic" or not has_box:
+                return ("analytic",), linear
+            if problem.norm == 2:
+                return ("analytic-box",), linear
+            return ("analytic", "bisection"), linear
+        if method == "analytic":
+            raise SpecificationError(
+                "method='analytic' requires a structurally affine mapping; "
+                f"got {type(problem.mapping).__name__}")
+        if problem.norm == 2 and not has_box:
+            diag = as_diagonal_quadratic(problem.mapping)
+            if diag is not None:
+                return ("ellipsoid",), diag
+    if method == "bisection" or problem.norm != 2:
+        return ("bisection",), None
+    return ("numeric",), None
+
+
 def _timed_solve(solver: str, bound: float, fn,
                  trail: list[SolverAttempt]) -> BoundaryCrossing | None:
     """Run one solver call, recording its attempt (success or suppressed
@@ -191,104 +271,133 @@ def _timed_solve(solver: str, bound: float, fn,
     return crossing
 
 
-def _solve_one_bound(problem: RadiusProblem, bound: float, method: Method,
-                     seed, trail: list[SolverAttempt], warm=None
-                     ) -> tuple[BoundaryCrossing | None, str]:
-    """Distance to one bound's level set; returns (crossing | None, method).
+def _preflight(problem: RadiusProblem) -> tuple[float, RadiusResult | None]:
+    """Count one solve and check the original operating point.
+
+    Returns ``(f(x_orig), degenerate)``: ``degenerate`` is the zero radius
+    (by definition) when the original point sits exactly on a finite
+    bound, else ``None``.
+
+    Raises
+    ------
+    InfeasibleAllocationError
+        If the feature already violates its tolerance interval at the
+        original point — there is no robust region to measure.
+    """
+    get_metrics().inc("radius.solves")
+    value0 = problem.original_value
+    if not problem.bounds.contains(value0):
+        raise InfeasibleAllocationError(
+            f"feature value {value0:g} violates the tolerance interval "
+            f"[{problem.bounds.beta_min:g}, {problem.bounds.beta_max:g}] at "
+            "the original operating point; robustness is undefined")
+    for b in problem.bounds.finite_bounds:
+        if value0 == b:
+            return value0, RadiusResult(
+                radius=0.0, boundary_point=problem.origin.copy(),
+                bound_hit=b, method="degenerate", original_value=value0,
+                per_bound={b: 0.0}, quality=Quality.EXACT)
+    return value0, None
+
+
+def _fold(problem: RadiusProblem, method: str,
+          preflight: tuple[float, RadiusResult | None],
+          solve_bound) -> RadiusResult:
+    """Equations 1–2: the minimum over the finite bounds of the distance to
+    each bound's level set, counted under ``radius.method.<winner>``.
+
+    ``preflight`` is :func:`_preflight`'s answer (a degenerate problem
+    solves no bound).  ``solve_bound(bound, trail)`` returns one bound's
+    ``(crossing | None, tier)`` and runs inside that bound's
+    ``radius.bound`` span.
+    """
+    value0, result = preflight
+    if result is None:
+        best: BoundaryCrossing | None = None
+        best_method = method
+        per_bound: dict[float, float] = {}
+        trail: list[SolverAttempt] = []
+        quality = Quality.EXACT
+        for b in problem.bounds.finite_bounds:
+            with span("radius.bound", bound=float(b)) as sp:
+                crossing, used = solve_bound(b, trail)
+                if sp is not None:
+                    sp.tags["solver"] = used
+                    sp.tags["found"] = crossing is not None
+            # The radius is exact only if every bound was resolved by an
+            # exact solver; one numeric/bisection answer degrades the claim.
+            quality = max(quality, quality_of_method(used),
+                          key=list(Quality).index)
+            per_bound[b] = crossing.distance if crossing is not None \
+                else math.inf
+            if crossing is not None and (best is None
+                                         or crossing.distance < best.distance):
+                best, best_method = crossing, used
+        result = RadiusResult(
+            radius=math.inf if best is None else best.distance,
+            boundary_point=None if best is None else best.point,
+            bound_hit=None if best is None else best.bound,
+            method=best_method, original_value=value0, per_bound=per_bound,
+            quality=quality, diagnostics=tuple(trail))
+    get_metrics().inc(f"radius.method.{result.method}")
+    return result
+
+
+def _solve_problem(problem: RadiusProblem, method: str, seed,
+                   warm=None) -> RadiusResult:
+    """One uncached solve: preflight, then each bound walks the problem's
+    tier ladder until a tier finds a crossing (the last tier's answer
+    stands otherwise).
 
     Every solver invocation — including the ones whose
     :class:`BoundaryNotFoundError` is absorbed into an infinite per-bound
-    distance — is appended to ``trail``.  ``warm`` threads an optional
-    :class:`~repro.core.solvers.warm.WarmStart` into the directional
-    solvers; the closed-form tiers ignore it (they have nothing to warm).
+    distance — lands in the diagnostics trail.
     """
-    linear = as_linear(problem.mapping)
-    if method in ("auto", "analytic") and linear is not None:
-        has_box = problem.lower is not None or problem.upper is not None
-        if method == "auto" and has_box and problem.norm == 2:
-            # Exact clamped-multiplier projection handles the box directly.
-            logger.debug("bound %g: dispatching to analytic-box solver", bound)
-            return (
-                _timed_solve(
-                    "analytic-box", bound,
-                    lambda: solve_linear_box_radius(
-                        linear, problem.origin, bound,
-                        lower=problem.lower, upper=problem.upper),
-                    trail),
-                "analytic-box",
-            )
-        logger.debug("bound %g: dispatching to analytic solver", bound)
-        crossing = _timed_solve(
-            "analytic", bound,
-            lambda: solve_linear_radius(
-                linear, problem.origin, bound, norm=problem.norm,
-                lower=problem.lower, upper=problem.upper),
-            trail)
-        if crossing is not None or method == "analytic" \
-                or trail[-1].outcome == "unreachable" and not has_box:
-            return crossing, "analytic"
-        # Box-constrained affine case in a non-Euclidean norm: fall
-        # through to the directional/numeric solvers.
-    if method == "auto" and problem.norm == 2 and problem.lower is None \
-            and problem.upper is None:
-        diag = as_diagonal_quadratic(problem.mapping)
-        if diag is not None:
-            logger.debug("bound %g: dispatching to ellipsoid solver", bound)
-            return (
-                _timed_solve(
-                    "ellipsoid", bound,
-                    lambda: solve_ellipsoid_radius(diag, problem.origin,
-                                                   bound),
-                    trail),
-                "ellipsoid",
-            )
-    if method == "analytic":
-        raise SpecificationError(
-            "method='analytic' requires a structurally affine mapping; "
-            f"got {type(problem.mapping).__name__}")
-    if method == "bisection" or problem.norm != 2:
-        # Forced directional solver, or a non-Euclidean norm (the numeric
-        # projection minimises the Euclidean distance only).
-        logger.debug("bound %g: dispatching to bisection solver", bound)
-        return (
-            _timed_solve(
-                "bisection", bound,
-                lambda: solve_bisection_radius(
-                    problem.mapping, problem.origin, bound, norm=problem.norm,
-                    lower=problem.lower, upper=problem.upper, seed=seed,
-                    warm=warm),
-                trail),
-            "bisection",
-        )
-    logger.debug("bound %g: dispatching to numeric solver", bound)
-    return (
-        _timed_solve(
-            "numeric", bound,
-            lambda: solve_numeric_radius(
-                problem.mapping, problem.origin, bound,
-                lower=problem.lower, upper=problem.upper, seed=seed,
-                warm=warm),
-            trail),
-        "numeric",
-    )
+    ladder, form = _tier_ladder(problem, method)
+
+    def solve_one_bound(bound, trail):
+        for tier in ladder:
+            logger.debug("bound %g: dispatching to %s solver", bound, tier)
+            crossing = _timed_solve(
+                tier, bound,
+                lambda: _SOLVERS[tier](problem, form, bound, seed, warm),
+                trail)
+            if crossing is not None:
+                break
+        return crossing, tier
+
+    return _fold(problem, method, _preflight(problem), solve_one_bound)
 
 
-def _solve_bound_task(problem: RadiusProblem, bound: float, method: Method,
-                      seed) -> tuple[BoundaryCrossing | None, str,
-                                     list[SolverAttempt]]:
-    """One bound's solve as a self-contained, picklable unit of work."""
-    trail: list[SolverAttempt] = []
-    with span("radius.bound", bound=float(bound)) as sp:
-        crossing, used = _solve_one_bound(problem, bound, method, seed, trail)
-        if sp is not None:
-            sp.tags["solver"] = used
-            sp.tags["found"] = crossing is not None
-    return crossing, used, trail
+def _cache_pass(problems: list[RadiusProblem], solve, *, method, seed,
+                cache) -> list[RadiusResult]:
+    """Serve ``problems`` through ``cache``, solving only the misses.
+
+    ``cache`` follows the tri-state convention of
+    :func:`~repro.parallel.cache.resolve_cache`.  Each problem is keyed
+    and looked up in order; ``solve(misses)`` returns the misses' results
+    in order (it runs even when nothing missed), and the fresh results are
+    stored back.  ``method`` is the key's solver token (see
+    :meth:`~repro.parallel.cache.RadiusCache.key`).
+    """
+    cache = resolve_cache(cache)
+    keys: list[str | None] = [None] * len(problems)
+    results: list[RadiusResult | None] = [None] * len(problems)
+    if cache is not None:
+        for i, problem in enumerate(problems):
+            keys[i] = cache.key(problem, method=method, seed=seed)
+            results[i] = cache.get(keys[i])
+    pending = [i for i, r in enumerate(results) if r is None]
+    for i, result in zip(pending, solve([problems[i] for i in pending])):
+        results[i] = result
+    if cache is not None:
+        for i in pending:
+            cache.put(keys[i], results[i])
+    return results
 
 
 def compute_radius(problem: RadiusProblem, *, method: Method = "auto",
-                   seed=None, cache=None, executor=None,
-                   warm=None) -> RadiusResult:
+                   seed=None, cache=None, warm=None) -> RadiusResult:
     """Compute the robustness radius for ``problem``.
 
     Parameters
@@ -296,8 +405,10 @@ def compute_radius(problem: RadiusProblem, *, method: Method = "auto",
     problem:
         The radius computation to perform.
     method:
-        ``"auto"`` (default) picks the exact solver for affine features and
-        the numeric projection otherwise; ``"analytic"``, ``"numeric"`` and
+        ``"auto"`` (default) walks the problem's tier ladder (see
+        :func:`_tier_ladder`): the exact solvers for affine features and
+        diagonal quadratics, the numeric projection or directional
+        bisection otherwise.  ``"analytic"``, ``"numeric"`` and
         ``"bisection"`` force a specific solver.
     seed:
         Seed for the stochastic components (multistart, random directions).
@@ -306,11 +417,6 @@ def compute_radius(problem: RadiusProblem, *, method: Method = "auto",
         solving (and populate after), ``None`` to defer to the installed
         process-wide default cache, or ``False`` to disable caching for
         this call.  Cached answers are bit-identical to fresh solves.
-    executor:
-        Optional :class:`~repro.parallel.executor.ParallelExecutor`; when
-        the interval has two finite bounds and the seed is stateless, the
-        per-bound solves fan out in parallel.  Results (including the
-        diagnostics trail order) are identical to the serial path.
     warm:
         Optional :class:`~repro.core.solvers.warm.WarmStart` shared by a
         family of solves that differ only in their bounds (a degradation
@@ -320,8 +426,7 @@ def compute_radius(problem: RadiusProblem, *, method: Method = "auto",
         solves, which is why warm state never enters cache keys — a
         warm-started solve records (and hits) the *same*
         :class:`~repro.parallel.cache.RadiusCache` entry as its cold
-        twin.  A warm solve runs its bounds serially (the shared table
-        cannot cross process boundaries).
+        twin.
 
     Returns
     -------
@@ -332,117 +437,20 @@ def compute_radius(problem: RadiusProblem, *, method: Method = "auto",
     InfeasibleAllocationError
         If the feature already violates its tolerance interval at the
         original point — there is no robust region to measure.
+    SpecificationError
+        For ``method="analytic"`` on a mapping that is not structurally
+        affine.
     """
     with span("radius.solve", method=method, dim=problem.origin.size) as sp:
-        result = _compute_radius_inner(problem, method=method, seed=seed,
-                                       cache=cache, executor=executor,
-                                       warm=warm)
+        [result] = _cache_pass(
+            [problem],
+            lambda misses: [_solve_problem(p, method, seed, warm)
+                            for p in misses],
+            method=method, seed=seed, cache=cache)
         if sp is not None:
             sp.tags["solver"] = result.method
             sp.tags["quality"] = result.quality.name
     return result
-
-
-def _compute_radius_inner(problem: RadiusProblem, *, method: Method,
-                          seed, cache, executor, warm=None) -> RadiusResult:
-    cache = resolve_cache(cache)
-    cache_key = None
-    if cache is not None:
-        cache_key = cache.key(problem, method=method, seed=seed)
-        cached = cache.get(cache_key)
-        if cached is not None:
-            return cached
-    get_metrics().inc("radius.solves")
-    value0 = problem.original_value
-    if not problem.bounds.contains(value0):
-        raise InfeasibleAllocationError(
-            f"feature value {value0:g} violates the tolerance interval "
-            f"[{problem.bounds.beta_min:g}, {problem.bounds.beta_max:g}] at "
-            "the original operating point; robustness is undefined")
-    finite_bounds = problem.bounds.finite_bounds
-    # Original point exactly on a bound: the radius is zero by definition.
-    for b in finite_bounds:
-        if value0 == b:
-            return RadiusResult(
-                radius=0.0, boundary_point=problem.origin.copy(),
-                bound_hit=b, method="degenerate", original_value=value0,
-                per_bound={b: 0.0}, quality=Quality.EXACT)
-
-    best: BoundaryCrossing | None = None
-    best_method = "none"
-    per_bound: dict[float, float] = {}
-    trail: list[SolverAttempt] = []
-    methods_used: list[str] = []
-    fanned_out = None
-    if warm is None and executor is not None \
-            and getattr(executor, "workers", 1) > 1 \
-            and len(finite_bounds) > 1 \
-            and not isinstance(seed, np.random.Generator):
-        # Independent per-bound solves: each worker re-derives its solver
-        # randomness from the same stateless seed, so the merged answer
-        # (including trail order, merged in bound order) matches serial.
-        # Imported lazily to avoid a cycle (resilience imports this
-        # module through the cascade).
-        from repro.resilience.supervisor import resolve_task_failures
-
-        bound_tasks = [Task(_solve_bound_task, (problem, b, method, seed))
-                       for b in finite_bounds]
-        # A supervised executor quarantines permanently-failing tasks
-        # into TaskFailure sentinels; the radius needs every bound's real
-        # answer, so sentinels are re-run in-process (re-raising genuine
-        # failures exactly like the serial loop below would).
-        fanned_out = resolve_task_failures(executor.run(bound_tasks),
-                                           bound_tasks, executor=executor)
-    for i, b in enumerate(finite_bounds):
-        if fanned_out is not None:
-            crossing, used, sub_trail = fanned_out[i]
-            trail.extend(sub_trail)
-        else:
-            with span("radius.bound", bound=float(b)) as sp:
-                crossing, used = _solve_one_bound(problem, b, method, seed,
-                                                  trail, warm)
-                if sp is not None:
-                    sp.tags["solver"] = used
-                    sp.tags["found"] = crossing is not None
-        methods_used.append(used)
-        per_bound[b] = crossing.distance if crossing is not None else math.inf
-        if crossing is not None and (best is None or crossing.distance < best.distance):
-            best = crossing
-            best_method = used
-    # The radius is exact only if every bound was resolved by an exact
-    # solver; a single numeric/bisection answer degrades the whole claim.
-    qualities = [quality_of_method(m) for m in methods_used]
-    quality = max(qualities, key=list(Quality).index, default=Quality.EXACT)
-    if best is None:
-        result = RadiusResult(
-            radius=math.inf, boundary_point=None, bound_hit=None,
-            method=best_method if best_method != "none" else method,
-            original_value=value0, per_bound=per_bound,
-            quality=quality, diagnostics=tuple(trail))
-    else:
-        result = RadiusResult(
-            radius=best.distance, boundary_point=best.point,
-            bound_hit=best.bound, method=best_method,
-            original_value=value0, per_bound=per_bound,
-            quality=quality, diagnostics=tuple(trail))
-    get_metrics().inc(f"radius.method.{result.method}")
-    if cache is not None:
-        cache.put(cache_key, result)
-    return result
-
-
-def _solve_problems_task(problems: list[RadiusProblem], method: Method,
-                         seed) -> list[RadiusResult]:
-    """Picklable worker body solving one structural group of problems.
-
-    One task per *group* (instead of per problem) amortises the per-task
-    pickling of the shared mapping/analysis objects the group's problems
-    reference.  Workers consult their own default cache, exactly like a
-    single-problem dispatch would.  Kept as the scalar reference body;
-    the dispatcher sends shards through the tensorised
-    :func:`~repro.core.solvers.tensor._solve_group_task` instead.
-    """
-    return [compute_radius(p, method=method, seed=seed) for p in problems]
 
 
 def _worker_shards(group_indices: list[list[int]],
@@ -467,25 +475,19 @@ def _worker_shards(group_indices: list[list[int]],
     return shards
 
 
-def _solver_structure(problem: RadiusProblem, method: Method) -> tuple:
-    """Fingerprint of the solver path a problem will take.
+def _solver_structure(problem: RadiusProblem, method: str) -> tuple:
+    """Fingerprint of the solver path a problem will take: its first
+    tier (``analytic-box`` counts as ``analytic``), dimension and bound
+    count.
 
     Problems sharing this key exercise the same solver tier over the
     same dimensionality, so batching them into one worker task keeps the
     per-task workloads comparable (no group dominated by one slow
     numeric solve sitting behind many instant analytic ones).
     """
-    if method in ("auto", "analytic") and as_linear(problem.mapping) is not None:
-        tier = "analytic"
-    elif method == "auto" and problem.norm == 2 and problem.lower is None \
-            and problem.upper is None \
-            and as_diagonal_quadratic(problem.mapping) is not None:
-        tier = "ellipsoid"
-    elif method == "bisection" or problem.norm != 2:
-        tier = "bisection"
-    else:
-        tier = "numeric"
-    return (tier, problem.origin.size, len(problem.bounds.finite_bounds))
+    tier = _tier_ladder(problem, method)[0][0]
+    return ("analytic" if tier == "analytic-box" else tier,
+            problem.origin.size, len(problem.bounds.finite_bounds))
 
 
 def compute_radii(problems: Sequence[RadiusProblem], *,
@@ -519,6 +521,10 @@ def compute_radii(problems: Sequence[RadiusProblem], *,
         batch is submitted there instead of being solved in-process
         (``cache`` and ``executor`` are then ignored — the service owns
         its own).  Results stay bit-identical to the in-process path.
+        A stateful :class:`numpy.random.Generator` seed keeps the batch
+        in-process, through ``cache`` as usual: the draws must come from
+        the caller's stream in problem order, which the service's worker
+        processes cannot do.
 
         **Cache-bypass contract**: on the service path the ``cache``
         argument (and any installed process-wide default cache) is
@@ -531,47 +537,44 @@ def compute_radii(problems: Sequence[RadiusProblem], *,
         whenever a cache *would* have been consulted but the batch went
         to the service instead.
     """
-    if service is not None:
+    stateful = isinstance(seed, np.random.Generator)
+    if service is not None and not stateful:
         if resolve_cache(cache) is not None:
             emit_event("cache.bypass", reason="service",
                        problems=len(problems))
             get_metrics().inc("radius.cache_bypass")
         return service.compute(problems, method=method, seed=seed)
     problems = list(problems)
-    cache = resolve_cache(cache)
-    with span("radius.batch", problems=len(problems)) as sp:
-        keys: list[str | None] = [None] * len(problems)
-        results: list[RadiusResult | None] = [None] * len(problems)
-        if cache is not None:
-            for i, problem in enumerate(problems):
-                keys[i] = cache.key(problem, method=method, seed=seed)
-                results[i] = cache.get(keys[i])
-        pending = [i for i, r in enumerate(results) if r is None]
-        groups: dict[tuple, list[int]] = {}
-        for i in pending:
-            groups.setdefault(_solver_structure(problems[i], method),
-                              []).append(i)
-        if sp is not None:
-            sp.tags["hits"] = len(problems) - len(pending)
-            sp.tags["groups"] = len(groups)
-        get_metrics().inc("radius.batches")
-        # Imported lazily: the tensor kernel imports this module for
-        # result assembly, so the edge must point this way at call time.
-        from repro.core.solvers.tensor import _solve_group_task, solve_group
+    # Imported lazily: the tensor kernel imports this module for result
+    # assembly, so the edge must point this way at call time.
+    from repro.core.solvers.tensor import _solve_group_task, solve_group
 
-        if executor is not None and getattr(executor, "workers", 1) > 1 \
-                and len(pending) > 1 \
-                and not isinstance(seed, np.random.Generator):
+    with span("radius.batch", problems=len(problems)) as sp:
+
+        def solve(misses: list[RadiusProblem]) -> list[RadiusResult]:
+            groups: dict[tuple, list[int]] = {}
+            for i, problem in enumerate(misses):
+                groups.setdefault(_solver_structure(problem, method),
+                                  []).append(i)
+            if sp is not None:
+                sp.tags["hits"] = len(problems) - len(misses)
+                sp.tags["groups"] = len(groups)
+            get_metrics().inc("radius.batches")
+            if executor is None or getattr(executor, "workers", 1) <= 1 \
+                    or len(misses) <= 1 or stateful:
+                # The cache pass already ran; solving with the cache
+                # re-enabled would double-count its misses.
+                return solve_group(misses, method=method, seed=seed,
+                                   cache=False)
             # Imported lazily to avoid a cycle (resilience imports this
             # module through the cascade).
             from repro.resilience.supervisor import resolve_task_failures
 
-            shards = _worker_shards(list(groups.values()),
-                                    executor.workers)
+            shards = _worker_shards(list(groups.values()), executor.workers)
             if sp is not None:
                 sp.tags["shards"] = len(shards)
             tasks = [Task(_solve_group_task,
-                          ([problems[i] for i in idxs], method, seed))
+                          ([misses[i] for i in idxs], method, seed))
                      for idxs in shards]
             # A supervised executor quarantines permanently-failing tasks
             # into TaskFailure sentinels; the batch needs real results
@@ -579,17 +582,11 @@ def compute_radii(problems: Sequence[RadiusProblem], *,
             # re-run in-process, re-raising genuine failures serially.
             solved = resolve_task_failures(executor.run(tasks), tasks,
                                            executor=executor)
+            results: list[RadiusResult | None] = [None] * len(misses)
             for idxs, shard_results in zip(shards, solved):
                 for i, result in zip(idxs, shard_results):
                     results[i] = result
-        else:
-            # The cache pass above already ran; solving with the cache
-            # re-enabled would double-count its misses.
-            solved = solve_group([problems[i] for i in pending],
-                                 method=method, seed=seed, cache=False)
-            for i, result in zip(pending, solved):
-                results[i] = result
-        if cache is not None:
-            for i in pending:
-                cache.put(keys[i], results[i])
-    return results
+            return results
+
+        return _cache_pass(problems, solve, method=method, seed=seed,
+                           cache=cache)

@@ -12,8 +12,8 @@ and ``p = inf`` are provided for the norm-ablation experiment (E8).
 
 from __future__ import annotations
 
+import numpy as np
 
-from repro.core.backend import xp
 from repro.core.boundary import BoundaryCrossing
 from repro.core.mappings import LinearMapping
 from repro.exceptions import BoundaryNotFoundError, SpecificationError
@@ -26,13 +26,13 @@ def dual_norm_order(norm: float) -> float:
     if norm == 2:
         return 2.0
     if norm == 1:
-        return xp.inf
-    if norm in (xp.inf, "inf"):
+        return np.inf
+    if norm in (np.inf, "inf"):
         return 1.0
     raise SpecificationError(f"unsupported norm order {norm!r}; use 1, 2 or inf")
 
 
-def _witness(origin: xp.ndarray, k: xp.ndarray, gap: float, norm: float) -> xp.ndarray:
+def _witness(origin: np.ndarray, k: np.ndarray, gap: float, norm: float) -> np.ndarray:
     """A boundary point realising the minimum ``l_p`` distance.
 
     ``gap = (b - c) - k . x0`` is the signed constraint slack to close.
@@ -42,24 +42,24 @@ def _witness(origin: xp.ndarray, k: xp.ndarray, gap: float, norm: float) -> xp.n
     if norm == 1:
         # Cheapest l1 move: spend the entire budget on the coordinate with
         # the largest |k_j| (steepest effect per unit of l1 distance).
-        j = int(xp.argmax(xp.abs(k)))
+        j = int(np.argmax(np.abs(k)))
         out = origin.copy()
         out[j] += gap / k[j]
         return out
     # l_inf: move every coordinate by the same magnitude, signed with k, so
     # each unit of l_inf distance buys ||k||_1 of constraint movement.
-    step = gap / float(xp.sum(xp.abs(k)))
-    return origin + step * xp.sign(k)
+    step = gap / float(np.sum(np.abs(k)))
+    return origin + step * np.sign(k)
 
 
 def solve_linear_radius(
     mapping: LinearMapping,
-    origin: xp.ndarray,
+    origin: np.ndarray,
     bound: float,
     *,
     norm: float = 2,
-    lower: xp.ndarray | None = None,
-    upper: xp.ndarray | None = None,
+    lower: np.ndarray | None = None,
+    upper: np.ndarray | None = None,
     box_atol: float = 1e-9,
 ) -> BoundaryCrossing:
     """Exact minimum distance from ``origin`` to ``{x : f(x) = bound}``.
@@ -97,12 +97,12 @@ def solve_linear_radius(
     """
     if not isinstance(mapping, LinearMapping):
         raise SpecificationError("solve_linear_radius requires a LinearMapping")
-    origin = xp.asarray(origin, dtype=xp.float64)
+    origin = np.asarray(origin, dtype=np.float64)
     k = mapping.coefficients
     if origin.shape != k.shape:
         raise SpecificationError(
             f"origin has shape {origin.shape}, expected {k.shape}")
-    knorm = float(xp.linalg.norm(k, ord=dual_norm_order(norm)))
+    knorm = float(np.linalg.norm(k, ord=dual_norm_order(norm)))
     if knorm == 0.0:
         raise BoundaryNotFoundError(
             "feature has zero gradient; its boundary set is empty (the "
@@ -111,11 +111,11 @@ def solve_linear_radius(
     gap = target - float(k @ origin)
     distance = abs(gap) / knorm
     point = _witness(origin, k, gap, norm)
-    if lower is not None and xp.any(point < xp.asarray(lower) - box_atol):
+    if lower is not None and np.any(point < np.asarray(lower) - box_atol):
         raise BoundaryNotFoundError(
             "unconstrained witness violates the lower box bound; use the "
             "numeric solver for the box-constrained projection")
-    if upper is not None and xp.any(point > xp.asarray(upper) + box_atol):
+    if upper is not None and np.any(point > np.asarray(upper) + box_atol):
         raise BoundaryNotFoundError(
             "unconstrained witness violates the upper box bound; use the "
             "numeric solver for the box-constrained projection")

@@ -24,8 +24,8 @@ from __future__ import annotations
 import logging
 import time
 
+import numpy as np
 
-from repro.core.backend import xp
 from repro.core.mappings import (
     CallableMapping,
     FeatureMapping,
@@ -71,19 +71,19 @@ class CallCountingMapping(FeatureMapping):
     def reset(self) -> None:
         self.value_calls = self.value_many_calls = self.rows = 0
 
-    def value(self, x: xp.ndarray) -> float:
+    def value(self, x: np.ndarray) -> float:
         self.value_calls += 1
         return self.inner.value(x)
 
-    def value_many(self, xs: xp.ndarray) -> xp.ndarray:
+    def value_many(self, xs: np.ndarray) -> np.ndarray:
         self.value_many_calls += 1
-        self.rows += int(xp.asarray(xs).shape[0])
+        self.rows += int(np.asarray(xs).shape[0])
         return self.inner.value_many(xs)
 
-    def gradient(self, x: xp.ndarray):
+    def gradient(self, x: np.ndarray):
         return self.inner.gradient(x)
 
-    def gradient_many(self, xs: xp.ndarray):
+    def gradient_many(self, xs: np.ndarray):
         return self.inner.gradient_many(xs)
 
     def __repr__(self) -> str:
@@ -93,11 +93,11 @@ class CallCountingMapping(FeatureMapping):
 
 def _bench_bisection(dimension: int, directions: int, seed: int) -> dict:
     """Scalar vs batched directional bisection over a MaxMapping."""
-    rng = xp.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     components = [LinearMapping(rng.standard_normal(dimension), float(i) * 0.1)
                   for i in range(8)]
     inner = MaxMapping(components)
-    origin = xp.zeros(dimension)
+    origin = np.zeros(dimension)
     bound = inner.value(origin) + 6.0
     kw = dict(norm=2, n_random_directions=directions, seed=seed)
 
@@ -114,7 +114,7 @@ def _bench_bisection(dimension: int, directions: int, seed: int) -> dict:
     batched_seconds = time.perf_counter() - t0
 
     identical = (scalar.distance == batched.distance
-                 and xp.array_equal(scalar.point, batched.point)
+                 and np.array_equal(scalar.point, batched.point)
                  and scalar.bound == batched.bound)
     return {
         "scalar_seconds": float(scalar_seconds),
@@ -133,10 +133,10 @@ def _bench_bisection(dimension: int, directions: int, seed: int) -> dict:
 
 def _bench_gradient(dimension: int, seed: int, repeats: int = 50) -> dict:
     """Per-coordinate FD loop vs the one-shot central-difference stencil."""
-    rng = xp.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     w = rng.standard_normal(dimension)
     inner = CallableMapping(
-        lambda x: float(xp.sum(xp.sin(x * w)) + 0.5 * (x @ x)), dimension)
+        lambda x: float(np.sum(np.sin(x * w)) + 0.5 * (x @ x)), dimension)
     points = rng.standard_normal((repeats, dimension))
 
     scalar_map = CallCountingMapping(inner)
@@ -149,7 +149,7 @@ def _bench_gradient(dimension: int, seed: int, repeats: int = 50) -> dict:
     batched_grads = [_finite_diff_gradient(batched_map, x) for x in points]
     batched_seconds = time.perf_counter() - t0
 
-    identical = all(xp.array_equal(a, b)
+    identical = all(np.array_equal(a, b)
                     for a, b in zip(scalar_grads, batched_grads))
     return {
         "scalar_seconds": float(scalar_seconds),

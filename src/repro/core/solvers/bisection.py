@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import logging
 
+import numpy as np
 from scipy.optimize import brentq
 
-from repro.core.backend import xp
 from repro.core.boundary import BoundaryCrossing
 from repro.core.mappings import FeatureMapping
 from repro.exceptions import BoundaryNotFoundError, SpecificationError
@@ -51,49 +51,49 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-def _ray_exit_t(origin: xp.ndarray, direction: xp.ndarray,
-                lower: xp.ndarray | None, upper: xp.ndarray | None,
+def _ray_exit_t(origin: np.ndarray, direction: np.ndarray,
+                lower: np.ndarray | None, upper: np.ndarray | None,
                 t_max: float) -> float:
     """Largest ``t`` such that ``origin + t*direction`` stays in the box."""
     t_exit = float(t_max)
     for bound, side in ((lower, -1.0), (upper, 1.0)):
         if bound is None:
             continue
-        slack = side * (xp.asarray(bound) - origin)
+        slack = side * (np.asarray(bound) - origin)
         move = side * direction
-        with xp.errstate(divide="ignore", invalid="ignore"):
-            ts = xp.where(move > 0, slack / move, xp.inf)
-        t_exit = min(t_exit, float(xp.min(ts)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ts = np.where(move > 0, slack / move, np.inf)
+        t_exit = min(t_exit, float(np.min(ts)))
     return max(t_exit, 0.0)
 
 
-def _ray_exit_ts(origin: xp.ndarray, directions: xp.ndarray,
-                 lower: xp.ndarray | None, upper: xp.ndarray | None,
-                 t_max: float) -> xp.ndarray:
+def _ray_exit_ts(origin: np.ndarray, directions: np.ndarray,
+                 lower: np.ndarray | None, upper: np.ndarray | None,
+                 t_max: float) -> np.ndarray:
     """Per-direction box-exit parameters, elementwise-identical to
     :func:`_ray_exit_t` (same divisions, same exact min reductions)."""
-    t_exit = xp.full(directions.shape[0], float(t_max))
+    t_exit = np.full(directions.shape[0], float(t_max))
     for bound, side in ((lower, -1.0), (upper, 1.0)):
         if bound is None:
             continue
-        slack = side * (xp.asarray(bound) - origin)
+        slack = side * (np.asarray(bound) - origin)
         move = side * directions
-        with xp.errstate(divide="ignore", invalid="ignore"):
-            ts = xp.where(move > 0, slack / move, xp.inf)
-        t_exit = xp.minimum(t_exit, xp.min(ts, axis=1))
-    return xp.maximum(t_exit, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ts = np.where(move > 0, slack / move, np.inf)
+        t_exit = np.minimum(t_exit, np.min(ts, axis=1))
+    return np.maximum(t_exit, 0.0)
 
 
 def directional_crossing(
     mapping: FeatureMapping,
-    origin: xp.ndarray,
-    direction: xp.ndarray,
+    origin: np.ndarray,
+    direction: np.ndarray,
     bound: float,
     *,
     t_max: float = 1e6,
     t_init: float = 1e-3,
-    lower: xp.ndarray | None = None,
-    upper: xp.ndarray | None = None,
+    lower: np.ndarray | None = None,
+    upper: np.ndarray | None = None,
     xtol: float = 1e-12,
 ) -> float | None:
     """Distance ``t`` of the first boundary crossing along a unit ray.
@@ -122,8 +122,8 @@ def directional_crossing(
         The crossing distance, or ``None`` if the feature does not cross
         ``bound`` along this ray within the reachable segment.
     """
-    origin = xp.asarray(origin, dtype=xp.float64)
-    direction = xp.asarray(direction, dtype=xp.float64)
+    origin = np.asarray(origin, dtype=np.float64)
+    direction = np.asarray(direction, dtype=np.float64)
 
     def h(t: float) -> float:
         return mapping.value(origin + t * direction) - bound
@@ -154,7 +154,7 @@ def directional_crossing(
 
 
 def _batch_values(mapping: FeatureMapping,
-                  points: xp.ndarray) -> tuple[xp.ndarray, xp.ndarray]:
+                  points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate raw ``f`` for a batch of probe points.
 
     Returns ``(values, in_domain)``.  The fast path is one
@@ -175,32 +175,32 @@ def _batch_values(mapping: FeatureMapping,
     try:
         values = mapping.value_many(points)
     except SpecificationError:
-        values = xp.empty(points.shape[0])
-        in_domain = xp.ones(points.shape[0], dtype=bool)
+        values = np.empty(points.shape[0])
+        in_domain = np.ones(points.shape[0], dtype=bool)
         for i, row in enumerate(points):
             try:
                 values[i] = mapping.value(row)
             except SpecificationError:
-                values[i] = xp.nan
+                values[i] = np.nan
                 in_domain[i] = False
         get_metrics().inc("solver.batch_evals")
         get_metrics().inc("solver.batch_points", points.shape[0])
         return values, in_domain
     get_metrics().inc("solver.batch_evals")
     get_metrics().inc("solver.batch_points", points.shape[0])
-    return values, xp.ones(points.shape[0], dtype=bool)
+    return values, np.ones(points.shape[0], dtype=bool)
 
 
 def _directional_brackets(
     mapping: FeatureMapping,
-    origin: xp.ndarray,
-    directions: xp.ndarray,
+    origin: np.ndarray,
+    directions: np.ndarray,
     bound: float,
     *,
     t_max: float,
     t_init: float,
-    lower: xp.ndarray | None,
-    upper: xp.ndarray | None,
+    lower: np.ndarray | None,
+    upper: np.ndarray | None,
     table=None,
 ) -> tuple[float, list[tuple[int, float, float, float]]]:
     """Lock-step bracket expansion over rows of ``directions``.
@@ -233,11 +233,11 @@ def _directional_brackets(
         return h0, _brackets_from_table(mapping, origin, directions, bound,
                                         h0, t_stop, t_init, table)
     active = t_stop > 0.0
-    t_lo = xp.zeros(m)
-    t_hi = xp.minimum(t_init, t_stop)
+    t_lo = np.zeros(m)
+    t_hi = np.minimum(t_init, t_stop)
     brackets: list[tuple[int, float, float, float]] = []
-    idx_all = xp.arange(m)
-    while xp.any(active):
+    idx_all = np.arange(m)
+    while np.any(active):
         rows = idx_all[active]
         points = origin + t_hi[rows, None] * directions[rows]
         values, in_domain = _batch_values(mapping, points)
@@ -245,7 +245,7 @@ def _directional_brackets(
         # Out-of-domain probes end their rays exactly like the scalar
         # kernel's per-direction SpecificationError: no crossing.
         active[rows[~in_domain]] = False
-        with xp.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore"):
             flipped = in_domain & (h0 * h_hi <= 0.0)
         for row, hv in zip(rows[flipped], h_hi[flipped]):
             brackets.append((int(row), float(t_lo[row]), float(t_hi[row]),
@@ -256,18 +256,18 @@ def _directional_brackets(
         active[rows[exhausted]] = False
         still = idx_all[active]
         t_lo[still] = t_hi[still]
-        t_hi[still] = xp.minimum(4.0 * t_hi[still], t_stop[still])
+        t_hi[still] = np.minimum(4.0 * t_hi[still], t_stop[still])
     brackets.sort(key=lambda b: (b[1], b[0]))
     return h0, brackets
 
 
 def _brackets_from_table(
     mapping: FeatureMapping,
-    origin: xp.ndarray,
-    directions: xp.ndarray,
+    origin: np.ndarray,
+    directions: np.ndarray,
     bound: float,
     h0: float,
-    t_stop: xp.ndarray,
+    t_stop: np.ndarray,
     t_init: float,
     table,
 ) -> list[tuple[int, float, float, float]]:
@@ -294,7 +294,7 @@ def _brackets_from_table(
         ts, gs = table.ladder(row)
         resolved = False
         for g in gs:
-            if xp.isnan(g):
+            if np.isnan(g):
                 # Terminal marker: the cold kernel deactivates the ray at
                 # an out-of-domain probe regardless of the bound.
                 resolved = True
@@ -313,14 +313,14 @@ def _brackets_from_table(
             cursor_hi[row] = t_hi
             pending.append(row)
     while pending:
-        rows = xp.asarray(pending, dtype=xp.intp)
-        probe_ts = xp.asarray([cursor_hi[r] for r in pending])
+        rows = np.asarray(pending, dtype=np.intp)
+        probe_ts = np.asarray([cursor_hi[r] for r in pending])
         points = origin + probe_ts[:, None] * directions[rows]
         values, in_domain = _batch_values(mapping, points)
         table.fresh_evals += 1
         still: list[int] = []
         for row, t_hi, g, ok in zip(pending, probe_ts, values, in_domain):
-            table.append(row, t_hi, g if ok else xp.nan)
+            table.append(row, t_hi, g if ok else np.nan)
             if not ok:
                 continue
             h_hi = g - bound
@@ -339,8 +339,8 @@ def _brackets_from_table(
     return brackets
 
 
-def _refine_bracket(mapping: FeatureMapping, origin: xp.ndarray,
-                    direction: xp.ndarray, bound: float,
+def _refine_bracket(mapping: FeatureMapping, origin: np.ndarray,
+                    direction: np.ndarray, bound: float,
                     lo: float, hi: float, h_hi: float, xtol: float) -> float:
     """Brent refinement of one bracket — the same scalar ``mapping.value``
     calls the scalar kernel makes on the same bracket, hence bit-identical
@@ -356,17 +356,17 @@ def _refine_bracket(mapping: FeatureMapping, origin: xp.ndarray,
 
 def directional_crossings(
     mapping: FeatureMapping,
-    origin: xp.ndarray,
-    directions: xp.ndarray,
+    origin: np.ndarray,
+    directions: np.ndarray,
     bound: float,
     *,
     t_max: float = 1e6,
     t_init: float = 1e-3,
-    lower: xp.ndarray | None = None,
-    upper: xp.ndarray | None = None,
+    lower: np.ndarray | None = None,
+    upper: np.ndarray | None = None,
     xtol: float = 1e-12,
     table=None,
-) -> xp.ndarray:
+) -> np.ndarray:
     """Batched :func:`directional_crossing` over rows of ``directions``.
 
     Advances every direction's bracket in lock-step (see
@@ -383,9 +383,9 @@ def directional_crossings(
         Crossing distance per direction; ``nan`` where the feature does
         not cross ``bound`` within the reachable segment.
     """
-    origin = xp.asarray(origin, dtype=xp.float64)
-    directions = xp.asarray(directions, dtype=xp.float64)
-    out = xp.full(directions.shape[0], xp.nan)
+    origin = np.asarray(origin, dtype=np.float64)
+    directions = np.asarray(directions, dtype=np.float64)
+    out = np.full(directions.shape[0], np.nan)
     if directions.shape[0] == 0:
         return out
     h0, brackets = _directional_brackets(mapping, origin, directions, bound,
@@ -403,8 +403,8 @@ def directional_crossings(
 
 def _refine_with_certificate(
     mapping: FeatureMapping,
-    origin: xp.ndarray,
-    directions: xp.ndarray,
+    origin: np.ndarray,
+    directions: np.ndarray,
     bound: float,
     brackets: list[tuple[int, float, float, float]],
     hint: int | None,
@@ -448,7 +448,7 @@ def _refine_with_certificate(
         (guardable if t_guard < b[2] else must).append(b)
     certified = 0
     if guardable:
-        rows = xp.asarray([b[0] for b in guardable], dtype=xp.intp)
+        rows = np.asarray([b[0] for b in guardable], dtype=np.intp)
         points = origin + t_guard * directions[rows]
         values, in_domain = _batch_values(mapping, points)
         for b, g, ok in zip(guardable, values, in_domain):
@@ -468,15 +468,15 @@ def _refine_with_certificate(
 
 def solve_bisection_radius(
     mapping: FeatureMapping,
-    origin: xp.ndarray,
+    origin: np.ndarray,
     bound: float,
     *,
     norm: float = 2,
     n_random_directions: int = 128,
     include_axes: bool = True,
     t_max: float = 1e6,
-    lower: xp.ndarray | None = None,
-    upper: xp.ndarray | None = None,
+    lower: np.ndarray | None = None,
+    upper: np.ndarray | None = None,
     seed=None,
     batch: bool = True,
     warm=None,
@@ -510,7 +510,7 @@ def solve_bisection_radius(
         If no direction crosses the boundary within ``t_max`` — evidence
         (not proof, for general mappings) that the radius is infinite.
     """
-    origin = xp.asarray(origin, dtype=xp.float64)
+    origin = np.asarray(origin, dtype=np.float64)
     n = origin.size
     if mapping.n_inputs != n:
         raise SpecificationError(
@@ -518,16 +518,16 @@ def solve_bisection_radius(
     rng = default_rng(seed)
     dirs = []
     if include_axes:
-        eye = xp.eye(n)
+        eye = np.eye(n)
         dirs.append(eye)
         dirs.append(-eye)
     if n_random_directions > 0:
         dirs.append(sample_on_sphere(rng, n_random_directions, n))
-    directions = xp.vstack(dirs)
+    directions = np.vstack(dirs)
     # Normalise every direction to unit length in the distance norm so the
     # ray parameter of a crossing equals its distance.
-    p = xp.inf if norm in (xp.inf, "inf") else norm
-    norms = xp.linalg.norm(directions, ord=p, axis=1, keepdims=True)
+    p = np.inf if norm in (np.inf, "inf") else norm
+    norms = np.linalg.norm(directions, ord=p, axis=1, keepdims=True)
     directions = directions / norms
 
     logger.debug("bisection search at level %g over %d directions",
@@ -538,7 +538,7 @@ def solve_bisection_radius(
         table.bind(origin, directions, lower, upper, t_max, 1e-3)
         warm.warm_starts += 1
         get_metrics().inc("solver.warm_starts")
-    best_t = xp.inf
+    best_t = np.inf
     best_dir = None
     if batch:
         fresh_before = table.fresh_evals if table is not None else 0

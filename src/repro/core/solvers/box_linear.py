@@ -20,9 +20,9 @@ and orders of magnitude faster.
 
 from __future__ import annotations
 
+import numpy as np
 from scipy.optimize import brentq
 
-from repro.core.backend import xp
 from repro.core.boundary import BoundaryCrossing
 from repro.core.mappings import LinearMapping
 from repro.exceptions import BoundaryNotFoundError, SpecificationError
@@ -32,11 +32,11 @@ __all__ = ["solve_linear_box_radius"]
 
 def solve_linear_box_radius(
     mapping: LinearMapping,
-    origin: xp.ndarray,
+    origin: np.ndarray,
     bound: float,
     *,
-    lower: xp.ndarray | None = None,
-    upper: xp.ndarray | None = None,
+    lower: np.ndarray | None = None,
+    upper: np.ndarray | None = None,
     xtol: float = 1e-14,
 ) -> BoundaryCrossing:
     """Exact l2 projection onto ``{x : f(x) = bound, lo <= x <= hi}``.
@@ -67,23 +67,23 @@ def solve_linear_box_radius(
     """
     if not isinstance(mapping, LinearMapping):
         raise SpecificationError("solve_linear_box_radius needs a LinearMapping")
-    origin = xp.asarray(origin, dtype=xp.float64)
+    origin = np.asarray(origin, dtype=np.float64)
     k = mapping.coefficients
     if origin.shape != k.shape:
         raise SpecificationError(
             f"origin has shape {origin.shape}, expected {k.shape}")
-    if not xp.any(k):
+    if not np.any(k):
         raise BoundaryNotFoundError("feature has zero gradient")
-    lo = xp.full_like(origin, -xp.inf) if lower is None else xp.asarray(
-        lower, dtype=xp.float64)
-    hi = xp.full_like(origin, xp.inf) if upper is None else xp.asarray(
-        upper, dtype=xp.float64)
-    if xp.any(lo > hi):
+    lo = np.full_like(origin, -np.inf) if lower is None else np.asarray(
+        lower, dtype=np.float64)
+    hi = np.full_like(origin, np.inf) if upper is None else np.asarray(
+        upper, dtype=np.float64)
+    if np.any(lo > hi):
         raise SpecificationError("lower bound exceeds upper bound")
     target = float(bound) - mapping.constant
 
-    def x_of(t: float) -> xp.ndarray:
-        return xp.clip(origin + t * k, lo, hi)
+    def x_of(t: float) -> np.ndarray:
+        return np.clip(origin + t * k, lo, hi)
 
     def g(t: float) -> float:
         return float(k @ x_of(t)) - target
@@ -91,11 +91,11 @@ def solve_linear_box_radius(
     # The reachable range of k.x inside the box.  Components with k_i = 0
     # contribute nothing regardless of their (possibly infinite) bounds —
     # select 0 explicitly so 0 * inf never surfaces as NaN.
-    with xp.errstate(invalid="ignore"):
-        up = xp.where(k > 0, k * hi, xp.where(k < 0, k * lo, 0.0))
-        dn = xp.where(k > 0, k * lo, xp.where(k < 0, k * hi, 0.0))
-    best_hi = float(xp.sum(up))
-    best_lo = float(xp.sum(dn))
+    with np.errstate(invalid="ignore"):
+        up = np.where(k > 0, k * hi, np.where(k < 0, k * lo, 0.0))
+        dn = np.where(k > 0, k * lo, np.where(k < 0, k * hi, 0.0))
+    best_hi = float(np.sum(up))
+    best_lo = float(np.sum(dn))
     if not best_lo - 1e-12 * (1 + abs(best_lo)) <= target <= \
             best_hi + 1e-12 * (1 + abs(best_hi)):
         raise BoundaryNotFoundError(
@@ -106,7 +106,7 @@ def solve_linear_box_radius(
     if g0 == 0.0:
         x = x_of(0.0)
         return BoundaryCrossing(point=x, bound=float(bound),
-                                distance=float(xp.linalg.norm(x - origin)))
+                                distance=float(np.linalg.norm(x - origin)))
     # g is monotone non-decreasing; bracket the root by expansion.
     step = 1.0 / float(k @ k)
     if g0 < 0.0:
@@ -124,4 +124,4 @@ def solve_linear_box_radius(
     t = brentq(g, t_lo, t_hi, xtol=xtol)
     x = x_of(t)
     return BoundaryCrossing(point=x, bound=float(bound),
-                            distance=float(xp.linalg.norm(x - origin)))
+                            distance=float(np.linalg.norm(x - origin)))

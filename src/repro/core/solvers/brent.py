@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.backend import xp
+import numpy as np
 
 __all__ = ["batched_brentq", "SCIPY_RTOL"]
 
@@ -81,28 +81,28 @@ def batched_brentq(
         where the bracket's endpoint signs do not differ or ``maxiter``
         was exhausted (SciPy raises there; the caller decides).
     """
-    lo = xp.asarray(lo, dtype=xp.float64)
-    hi = xp.asarray(hi, dtype=xp.float64)
-    f_lo = xp.asarray(f_lo, dtype=xp.float64)
-    f_hi = xp.asarray(f_hi, dtype=xp.float64)
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    f_lo = np.asarray(f_lo, dtype=np.float64)
+    f_hi = np.asarray(f_hi, dtype=np.float64)
     n = lo.shape[0]
-    roots = xp.empty(n, dtype=xp.float64)
-    ok = xp.ones(n, dtype=bool)
+    roots = np.empty(n, dtype=np.float64)
+    ok = np.ones(n, dtype=bool)
     if n == 0:
         return roots, ok
 
     # --- endpoint short-circuits, in SciPy's exact order ----------------
-    roots[:] = xp.nan
+    roots[:] = np.nan
     pre_zero = f_lo == 0.0
     cur_zero = (f_hi == 0.0) & ~pre_zero
     roots[pre_zero] = lo[pre_zero]
     roots[cur_zero] = hi[cur_zero]
     bad_sign = (~pre_zero & ~cur_zero
-                & (xp.signbit(f_lo) == xp.signbit(f_hi)))
+                & (np.signbit(f_lo) == np.signbit(f_hi)))
     ok[bad_sign] = False
     active = ~(pre_zero | cur_zero | bad_sign)
 
-    idx = xp.flatnonzero(active)
+    idx = np.flatnonzero(active)
     if idx.size == 0:
         return roots, ok
 
@@ -111,35 +111,35 @@ def batched_brentq(
     xcur = hi[idx].copy()
     fpre = f_lo[idx].copy()
     fcur = f_hi[idx].copy()
-    xblk = xp.zeros(idx.size)
-    fblk = xp.zeros(idx.size)
-    spre = xp.zeros(idx.size)
-    scur = xp.zeros(idx.size)
+    xblk = np.zeros(idx.size)
+    fblk = np.zeros(idx.size)
+    spre = np.zeros(idx.size)
+    scur = np.zeros(idx.size)
 
     for _ in range(maxiter):
         # (re)establish the bracket around the current best point
         rebrk = (fpre != 0.0) & (fcur != 0.0) \
-            & (xp.signbit(fpre) != xp.signbit(fcur))
-        xblk = xp.where(rebrk, xpre, xblk)
-        fblk = xp.where(rebrk, fpre, fblk)
+            & (np.signbit(fpre) != np.signbit(fcur))
+        xblk = np.where(rebrk, xpre, xblk)
+        fblk = np.where(rebrk, fpre, fblk)
         step0 = xcur - xpre
-        spre = xp.where(rebrk, step0, spre)
-        scur = xp.where(rebrk, step0, scur)
+        spre = np.where(rebrk, step0, spre)
+        scur = np.where(rebrk, step0, scur)
         # keep the smaller-|f| endpoint in xcur
-        swap = xp.abs(fblk) < xp.abs(fcur)
-        xpre_n = xp.where(swap, xcur, xpre)
-        xcur_n = xp.where(swap, xblk, xcur)
-        xblk_n = xp.where(swap, xcur, xblk)
-        fpre_n = xp.where(swap, fcur, fpre)
-        fcur_n = xp.where(swap, fblk, fcur)
-        fblk_n = xp.where(swap, fcur, fblk)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre_n = np.where(swap, xcur, xpre)
+        xcur_n = np.where(swap, xblk, xcur)
+        xblk_n = np.where(swap, xcur, xblk)
+        fpre_n = np.where(swap, fcur, fpre)
+        fcur_n = np.where(swap, fblk, fcur)
+        fblk_n = np.where(swap, fcur, fblk)
         xpre, xcur, xblk = xpre_n, xcur_n, xblk_n
         fpre, fcur, fblk = fpre_n, fcur_n, fblk_n
 
-        delta = (xtol + rtol * xp.abs(xcur)) / 2.0
+        delta = (xtol + rtol * np.abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
-        done = (fcur == 0.0) | (xp.abs(sbis) < delta)
-        if xp.any(done):
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        if np.any(done):
             rows_done = idx[done]
             roots[rows_done] = xcur[done]
             keep = ~done
@@ -152,27 +152,27 @@ def batched_brentq(
             delta, sbis = delta[keep], sbis[keep]
 
         # trial step: secant / inverse-quadratic, truncated, else bisect
-        try_interp = (xp.abs(spre) > delta) & (xp.abs(fcur) < xp.abs(fpre))
-        with xp.errstate(divide="ignore", invalid="ignore"):
+        try_interp = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+        with np.errstate(divide="ignore", invalid="ignore"):
             secant = -fcur * (xcur - xpre) / (fcur - fpre)
             dpre = (fpre - fcur) / (xpre - xcur)
             dblk = (fblk - fcur) / (xblk - xcur)
             extra = -fcur * (fblk * dblk - fpre * dpre) \
                 / (dblk * dpre * (fblk - fpre))
-        stry = xp.where(xpre == xblk, secant, extra)
-        short = 2.0 * xp.abs(stry) \
-            < xp.minimum(xp.abs(spre), 3.0 * xp.abs(sbis) - delta)
+        stry = np.where(xpre == xblk, secant, extra)
+        short = 2.0 * np.abs(stry) \
+            < np.minimum(np.abs(spre), 3.0 * np.abs(sbis) - delta)
         accept = try_interp & short
-        spre = xp.where(accept, scur, sbis)
-        scur = xp.where(accept, stry, sbis)
+        spre = np.where(accept, scur, sbis)
+        scur = np.where(accept, stry, sbis)
 
         # advance, clamped to at least delta toward the bracket interior
         xpre = xcur
         fpre = fcur
-        clamp = xp.abs(scur) <= delta
-        step = xp.where(clamp, xp.where(sbis > 0.0, delta, -delta), scur)
+        clamp = np.abs(scur) <= delta
+        step = np.where(clamp, np.where(sbis > 0.0, delta, -delta), scur)
         xcur = xcur + step
-        fcur = xp.asarray(evaluate(xcur, idx), dtype=xp.float64)
+        fcur = np.asarray(evaluate(xcur, idx), dtype=np.float64)
 
     # maxiter exhausted: SciPy raises; flag instead, caller re-pins.
     roots[idx] = xcur

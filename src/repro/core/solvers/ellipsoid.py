@@ -23,9 +23,9 @@ Handles both directions: the origin inside the ellipsoid being pushed out
 
 from __future__ import annotations
 
+import numpy as np
 from scipy.optimize import brentq
 
-from repro.core.backend import xp
 from repro.core.boundary import BoundaryCrossing
 from repro.core.mappings import QuadraticMapping
 from repro.exceptions import BoundaryNotFoundError, SpecificationError
@@ -42,17 +42,17 @@ def is_diagonal_quadratic(mapping: QuadraticMapping) -> bool:
     if not isinstance(mapping, QuadraticMapping):
         return False
     Q = mapping.quadratic
-    if xp.any(mapping.linear != 0.0):
+    if np.any(mapping.linear != 0.0):
         return False
-    off_diag = Q - xp.diag(xp.diag(Q))
-    if xp.any(off_diag != 0.0):
+    off_diag = Q - np.diag(np.diag(Q))
+    if np.any(off_diag != 0.0):
         return False
-    return bool(xp.all(xp.diag(Q) > 0.0))
+    return bool(np.all(np.diag(Q) > 0.0))
 
 
 def solve_ellipsoid_radius(
     mapping: QuadraticMapping,
-    origin: xp.ndarray,
+    origin: np.ndarray,
     bound: float,
     *,
     xtol: float = 1e-14,
@@ -81,8 +81,8 @@ def solve_ellipsoid_radius(
         raise SpecificationError(
             "solve_ellipsoid_radius requires a diagonal positive "
             "QuadraticMapping with zero linear term")
-    origin = xp.asarray(origin, dtype=xp.float64)
-    d = xp.diag(mapping.quadratic)
+    origin = np.asarray(origin, dtype=np.float64)
+    d = np.diag(mapping.quadratic)
     level = float(bound) - mapping.constant
     if level <= 0.0:
         raise BoundaryNotFoundError(
@@ -92,16 +92,16 @@ def solve_ellipsoid_radius(
     weighted = d * origin ** 2
 
     def g(lam: float) -> float:
-        return float(xp.sum(weighted / (1.0 + 2.0 * lam * d) ** 2)) - level
+        return float(np.sum(weighted / (1.0 + 2.0 * lam * d) ** 2)) - level
 
-    if xp.all(origin == 0.0):
+    if np.all(origin == 0.0):
         # Degenerate: every direction is equally close; pick the cheapest
         # axis (largest d gives the smallest distance sqrt(level/d)).
-        i = int(xp.argmax(d))
-        x = xp.zeros_like(origin)
-        x[i] = xp.sqrt(level / d[i])
+        i = int(np.argmax(d))
+        x = np.zeros_like(origin)
+        x[i] = np.sqrt(level / d[i])
         return BoundaryCrossing(point=x, bound=float(bound),
-                                distance=float(xp.abs(x[i])))
+                                distance=float(np.abs(x[i])))
 
     # g is strictly decreasing on (-1/(2 d_max), inf); bracket the root.
     lam_lo_limit = -1.0 / (2.0 * float(d.max()))
@@ -128,4 +128,4 @@ def solve_ellipsoid_radius(
     x = origin / (1.0 + 2.0 * lam * d)
     return BoundaryCrossing(
         point=x, bound=float(bound),
-        distance=float(xp.linalg.norm(x - origin)))
+        distance=float(np.linalg.norm(x - origin)))

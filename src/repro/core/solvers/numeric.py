@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import logging
 
+import numpy as np
 from scipy import optimize
 
-from repro.core.backend import xp
 from repro.core.boundary import BoundaryCrossing
 from repro.core.mappings import FeatureMapping
 from repro.core.solvers.bisection import directional_crossings
@@ -33,12 +33,12 @@ __all__ = ["solve_numeric_radius"]
 logger = logging.getLogger(__name__)
 
 
-def _finite_diff_gradient_scalar(mapping: FeatureMapping, x: xp.ndarray,
-                                 eps: float = 1e-7) -> xp.ndarray:
+def _finite_diff_gradient_scalar(mapping: FeatureMapping, x: np.ndarray,
+                                 eps: float = 1e-7) -> np.ndarray:
     """Scalar reference for :func:`_finite_diff_gradient` (one
     ``mapping.value`` call per stencil point), retained for the kernel
     equivalence suite."""
-    g = xp.empty_like(x)
+    g = np.empty_like(x)
     for i in range(x.size):
         h = eps * max(1.0, abs(x[i]))
         x_plus = x.copy()
@@ -49,8 +49,8 @@ def _finite_diff_gradient_scalar(mapping: FeatureMapping, x: xp.ndarray,
     return g
 
 
-def _finite_diff_gradient(mapping: FeatureMapping, x: xp.ndarray,
-                          eps: float = 1e-7) -> xp.ndarray:
+def _finite_diff_gradient(mapping: FeatureMapping, x: np.ndarray,
+                          eps: float = 1e-7) -> np.ndarray:
     """Central finite-difference gradient, used when no analytic one exists.
 
     The full ``2n``-point central-difference stencil is built as one
@@ -62,8 +62,8 @@ def _finite_diff_gradient(mapping: FeatureMapping, x: xp.ndarray,
     reference and the gradient is bit-identical to it.
     """
     n = x.size
-    h = eps * xp.maximum(1.0, xp.abs(x))
-    stencil = xp.vstack([x + xp.diag(h), x - xp.diag(h)])
+    h = eps * np.maximum(1.0, np.abs(x))
+    stencil = np.vstack([x + np.diag(h), x - np.diag(h)])
     values = mapping.value_many(stencil)
     get_metrics().inc("solver.batch_evals")
     get_metrics().inc("solver.batch_points", 2 * n)
@@ -71,7 +71,7 @@ def _finite_diff_gradient(mapping: FeatureMapping, x: xp.ndarray,
 
 
 def _constraint_jac(mapping: FeatureMapping):
-    def jac(x: xp.ndarray) -> xp.ndarray:
+    def jac(x: np.ndarray) -> np.ndarray:
         g = mapping.gradient(x)
         if g is None:
             g = _finite_diff_gradient(mapping, x)
@@ -81,11 +81,11 @@ def _constraint_jac(mapping: FeatureMapping):
 
 def solve_numeric_radius(
     mapping: FeatureMapping,
-    origin: xp.ndarray,
+    origin: np.ndarray,
     bound: float,
     *,
-    lower: xp.ndarray | None = None,
-    upper: xp.ndarray | None = None,
+    lower: np.ndarray | None = None,
+    upper: np.ndarray | None = None,
     n_starts: int = 8,
     n_seed_directions: int = 32,
     constraint_tol: float = 1e-7,
@@ -144,24 +144,24 @@ def solve_numeric_radius(
         If no start converges to a verified boundary point — treated by the
         dispatcher as an infinite radius for this bound.
     """
-    origin = xp.asarray(origin, dtype=xp.float64)
+    origin = np.asarray(origin, dtype=np.float64)
     n = origin.size
     if mapping.n_inputs != n:
         raise SpecificationError(
             f"origin has length {n} but mapping expects {mapping.n_inputs}")
     rng = default_rng(seed)
-    scale = max(1.0, float(xp.linalg.norm(origin)))
+    scale = max(1.0, float(np.linalg.norm(origin)))
 
     # --- seed with directional crossings (true boundary points) ---------
     # The batched kernel probes all 2n + n_seed_directions rays in
     # lock-step; crossings come back in direction order, exactly as the
     # scalar per-direction loop produced them.
-    starts: list[xp.ndarray] = []
+    starts: list[np.ndarray] = []
     crossings: list[BoundaryCrossing] = []
-    dirs = xp.vstack([xp.eye(n), -xp.eye(n),
+    dirs = np.vstack([np.eye(n), -np.eye(n),
                       sample_on_sphere(rng, n_seed_directions, n)])
     if crossings_ts is not None:
-        ts = xp.asarray(crossings_ts, dtype=xp.float64)
+        ts = np.asarray(crossings_ts, dtype=np.float64)
     else:
         table = None
         if warm is not None:
@@ -177,11 +177,11 @@ def solve_numeric_radius(
             warm.warm_hits += 1
             get_metrics().inc("solver.warm_hits")
     for d, t in zip(dirs, ts):
-        if not xp.isnan(t):
+        if not np.isnan(t):
             pt = origin + float(t) * d
             crossings.append(BoundaryCrossing(pt, bound, float(t)))
             starts.append(pt)
-    starts.sort(key=lambda p: float(xp.linalg.norm(p - origin)))
+    starts.sort(key=lambda p: float(np.linalg.norm(p - origin)))
     starts = starts[:max(4, n_starts)]
     starts.append(origin.copy())
     for _ in range(n_starts):
@@ -191,15 +191,15 @@ def solve_numeric_radius(
     if lower is None and upper is None:
         slsqp_bounds = None
     else:
-        lo = xp.full(n, -xp.inf) if lower is None else xp.asarray(lower, float)
-        hi = xp.full(n, xp.inf) if upper is None else xp.asarray(upper, float)
+        lo = np.full(n, -np.inf) if lower is None else np.asarray(lower, float)
+        hi = np.full(n, np.inf) if upper is None else np.asarray(upper, float)
         slsqp_bounds = list(zip(lo, hi))
 
-    def objective(x: xp.ndarray) -> float:
+    def objective(x: np.ndarray) -> float:
         dx = x - origin
         return float(dx @ dx)
 
-    def objective_grad(x: xp.ndarray) -> xp.ndarray:
+    def objective_grad(x: np.ndarray) -> np.ndarray:
         return 2.0 * (x - origin)
 
     cons = {
@@ -216,7 +216,7 @@ def solve_numeric_radius(
     n_failed = 0
     for x0 in starts:
         if slsqp_bounds is not None:
-            x0 = xp.clip(x0, [b[0] for b in slsqp_bounds],
+            x0 = np.clip(x0, [b[0] for b in slsqp_bounds],
                          [b[1] for b in slsqp_bounds])
         try:
             res = optimize.minimize(
@@ -231,15 +231,15 @@ def solve_numeric_radius(
             n_failed += 1
             logger.debug("SLSQP start failed at level %g: %s", bound, exc)
             continue
-        x = xp.asarray(res.x, dtype=xp.float64)
-        if not xp.all(xp.isfinite(x)):
+        x = np.asarray(res.x, dtype=np.float64)
+        if not np.all(np.isfinite(x)):
             continue
         try:
             if abs(mapping.value(x) - bound) > accept:
                 continue
         except SpecificationError:
             continue
-        dist = float(xp.linalg.norm(x - origin))
+        dist = float(np.linalg.norm(x - origin))
         if best is None or dist < best.distance:
             best = BoundaryCrossing(point=x, bound=float(bound), distance=dist)
     if n_failed:

@@ -36,7 +36,8 @@ import logging
 import math
 import time
 
-from repro.core.backend import xp
+import numpy as np
+
 from repro.core.features import ToleranceBounds
 from repro.core.mappings import QuadraticMapping
 from repro.core.solvers.bench import CallCountingMapping
@@ -58,7 +59,7 @@ def _make_problems(mapping, dimension: int, n_problems: int, seed: int):
     """
     from repro.core.radius import RadiusProblem
 
-    rng = xp.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     bounds = ToleranceBounds(beta_max=4.0)
     return [
         RadiusProblem(mapping=mapping,
@@ -105,9 +106,9 @@ def run_radius_batch_benchmark(
         raise SpecificationError(f"dimension must be >= 2, got {dimension}")
     logger.info("radius-batch benchmark: %d problems, dim=%d, seed=%d",
                 problems, dimension, seed)
-    rng = xp.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     weights = 1.0 + 0.2 * rng.random(dimension)
-    mapping = CallCountingMapping(QuadraticMapping(xp.diag(weights)))
+    mapping = CallCountingMapping(QuadraticMapping(np.diag(weights)))
 
     # Fresh problem objects per leg: RadiusProblem caches its original
     # feature value, and both legs must pay for it.
@@ -133,7 +134,7 @@ def run_radius_batch_benchmark(
         and a.bound_hit == b.bound_hit
         and a.method == b.method
         and a.per_bound == b.per_bound
-        and xp.array_equal(a.boundary_point, b.boundary_point)
+        and np.array_equal(a.boundary_point, b.boundary_point)
         for a, b in zip(scalar, tensor)
     )
     if not identical:  # pragma: no cover - bit-identity contract violation

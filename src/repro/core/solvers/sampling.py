@@ -13,8 +13,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+import numpy as np
 
-from repro.core.backend import xp
 from repro.core.features import ToleranceBounds
 from repro.core.mappings import FeatureMapping
 from repro.exceptions import SpecificationError
@@ -46,19 +46,19 @@ class SamplingReport:
     n_samples: int
     n_violations: int
     min_violation_distance: float
-    closest_violation: xp.ndarray | None
+    closest_violation: np.ndarray | None
 
 
 def sampling_upper_bound(
     mapping: FeatureMapping,
-    origin: xp.ndarray,
+    origin: np.ndarray,
     bounds: ToleranceBounds,
     *,
     max_distance: float,
     n_samples: int = 20000,
     norm: float = 2,
-    lower: xp.ndarray | None = None,
-    upper: xp.ndarray | None = None,
+    lower: np.ndarray | None = None,
+    upper: np.ndarray | None = None,
     seed=None,
 ) -> SamplingReport:
     """Search for tolerance violations within ``max_distance`` of ``origin``.
@@ -86,21 +86,21 @@ def sampling_upper_bound(
     """
     if max_distance <= 0:
         raise SpecificationError(f"max_distance must be > 0, got {max_distance}")
-    origin = xp.asarray(origin, dtype=xp.float64)
+    origin = np.asarray(origin, dtype=np.float64)
     rng = default_rng(seed)
     n = origin.size
     dirs = sample_on_sphere(rng, n_samples, n)
-    p = xp.inf if norm in (xp.inf, "inf") else norm
-    dirs = dirs / xp.linalg.norm(dirs, ord=p, axis=1, keepdims=True)
+    p = np.inf if norm in (np.inf, "inf") else norm
+    dirs = dirs / np.linalg.norm(dirs, ord=p, axis=1, keepdims=True)
     dists = max_distance * rng.random(n_samples)
     points = origin + dirs * dists[:, None]
     if lower is not None:
-        points = xp.maximum(points, xp.asarray(lower, dtype=xp.float64))
+        points = np.maximum(points, np.asarray(lower, dtype=np.float64))
     if upper is not None:
-        points = xp.minimum(points, xp.asarray(upper, dtype=xp.float64))
+        points = np.minimum(points, np.asarray(upper, dtype=np.float64))
     values = mapping.value_many(points)
     violating = (values > bounds.beta_max) | (values < bounds.beta_min)
-    n_viol = int(xp.count_nonzero(violating))
+    n_viol = int(np.count_nonzero(violating))
     logger.debug("sampled %d points within distance %g: %d violation(s)",
                  n_samples, max_distance, n_viol)
     if n_viol == 0:
@@ -111,7 +111,7 @@ def sampling_upper_bound(
     # Batched row-wise norms, bit-identical to the former per-point
     # `vector_norm(pt - origin, p)` scan (see vector_norm_many).
     viol_dists = vector_norm_many(viol_points - origin, p)
-    i = int(xp.argmin(viol_dists))
+    i = int(np.argmin(viol_dists))
     return SamplingReport(
         n_samples=n_samples,
         n_violations=n_viol,

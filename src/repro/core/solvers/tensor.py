@@ -63,10 +63,19 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 
-from repro.core.backend import xp
+import numpy as np
+
 from repro.core.boundary import BoundaryCrossing
-from repro.core.diagnostics import Quality, quality_of_method
+from repro.core.radius import (
+    _cache_pass,
+    _fold,
+    _preflight,
+    _solver_structure,
+    _timed_solve,
+    compute_radius,
+)
 from repro.core.solvers.bisection import (
     _batch_values,
     _brackets_from_table,
@@ -75,11 +84,7 @@ from repro.core.solvers.bisection import (
 )
 from repro.core.solvers.brent import batched_brentq
 from repro.core.solvers.numeric import solve_numeric_radius
-from repro.exceptions import (
-    BoundaryNotFoundError,
-    InfeasibleAllocationError,
-    SpecificationError,
-)
+from repro.exceptions import BoundaryNotFoundError, SpecificationError
 from repro.observability import get_metrics, span
 from repro.utils.linalg import sample_on_sphere
 from repro.utils.rng import default_rng
@@ -132,7 +137,7 @@ class ProblemTensor:
     method: str
     tier: str
     norm: float
-    origins: xp.ndarray
+    origins: np.ndarray
     betas: tuple
 
     @property
@@ -154,15 +159,13 @@ class ProblemTensor:
         the mapping cannot fingerprint itself).  Origins, boxes and bound
         levels may differ — they are data, not structure.
         """
-        from repro.core.radius import _solver_structure
-
         structure = _solver_structure(problem, method)
         if structure[0] not in ("bisection", "numeric"):
             return None
         mkey = problem.mapping.structure_key()
         identity = ("structure", mkey) if mkey is not None \
             else ("object", id(problem.mapping))
-        norm = xp.inf if problem.norm in (xp.inf, "inf") \
+        norm = np.inf if problem.norm in (np.inf, "inf") \
             else float(problem.norm)
         return (structure, norm, identity)
 
@@ -183,7 +186,7 @@ class ProblemTensor:
             method=method,
             tier=structure[0],
             norm=norm,
-            origins=xp.stack([p.origin for p in problems]),
+            origins=np.stack([p.origin for p in problems]),
             betas=tuple(p.bounds.finite_bounds for p in problems),
         )
 
@@ -221,24 +224,24 @@ class ProblemTensor:
 # shared geometry
 
 
-def _bisection_directions(n: int, norm, seed) -> xp.ndarray:
+def _bisection_directions(n: int, norm, seed) -> np.ndarray:
     """The direction matrix ``solve_bisection_radius`` derives from a
     stateless seed: signed axes plus sphere samples, normalised in the
     distance norm.  Stateless seeding makes it identical for every member
     of the group."""
     rng = default_rng(seed)
-    eye = xp.eye(n)
-    directions = xp.vstack([eye, -eye,
+    eye = np.eye(n)
+    directions = np.vstack([eye, -eye,
                             sample_on_sphere(rng, _N_RANDOM_DIRECTIONS, n)])
-    p = xp.inf if norm in (xp.inf, "inf") else norm
-    norms = xp.linalg.norm(directions, ord=p, axis=1, keepdims=True)
+    p = np.inf if norm in (np.inf, "inf") else norm
+    norms = np.linalg.norm(directions, ord=p, axis=1, keepdims=True)
     return directions / norms
 
 
-def _numeric_directions(n: int, seed) -> xp.ndarray:
+def _numeric_directions(n: int, seed) -> np.ndarray:
     """The seeding rays of ``solve_numeric_radius`` (unnormalised)."""
     rng = default_rng(seed)
-    return xp.vstack([xp.eye(n), -xp.eye(n),
+    return np.vstack([np.eye(n), -np.eye(n),
                       sample_on_sphere(rng, _N_SEED_DIRECTIONS, n)])
 
 
@@ -279,20 +282,20 @@ def _expand_units(mapping, origins, directions, units, h0s, t_stops):
     m = directions.shape[0]
     n_units = len(units)
     total = n_units * m
-    unit_of = xp.repeat(xp.arange(n_units), m)
-    row_of = xp.tile(xp.arange(m), n_units)
-    p_of = xp.repeat(xp.asarray([u[0] for u in units], dtype=xp.intp), m)
-    beta_of = xp.repeat(xp.asarray([u[2] for u in units], dtype=xp.float64),
+    unit_of = np.repeat(np.arange(n_units), m)
+    row_of = np.tile(np.arange(m), n_units)
+    p_of = np.repeat(np.asarray([u[0] for u in units], dtype=np.intp), m)
+    beta_of = np.repeat(np.asarray([u[2] for u in units], dtype=np.float64),
                         m)
-    h0_of = xp.repeat(xp.asarray(h0s, dtype=xp.float64), m)
-    t_stop = xp.concatenate(t_stops)
+    h0_of = np.repeat(np.asarray(h0s, dtype=np.float64), m)
+    t_stop = np.concatenate(t_stops)
 
     active = t_stop > 0.0
-    t_lo = xp.zeros(total)
-    t_hi = xp.minimum(_T_INIT, t_stop)
+    t_lo = np.zeros(total)
+    t_hi = np.minimum(_T_INIT, t_stop)
     brackets: dict[int, list] = {u: [] for u in range(n_units)}
-    idx_all = xp.arange(total)
-    while xp.any(active):
+    idx_all = np.arange(total)
+    while np.any(active):
         rows = idx_all[active]
         points = origins[p_of[rows]] + t_hi[rows, None] * directions[row_of[rows]]
         values, in_domain = _batch_values(mapping, points)
@@ -300,7 +303,7 @@ def _expand_units(mapping, origins, directions, units, h0s, t_stops):
         # Out-of-domain probes end their rays exactly like the scalar
         # kernel's per-direction SpecificationError: no crossing.
         active[rows[~in_domain]] = False
-        with xp.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore"):
             flipped = in_domain & (h0_of[rows] * h_hi <= 0.0)
         for k, hv in zip(rows[flipped], h_hi[flipped]):
             brackets[int(unit_of[k])].append(
@@ -310,7 +313,7 @@ def _expand_units(mapping, origins, directions, units, h0s, t_stops):
         active[rows[exhausted]] = False
         still = idx_all[active]
         t_lo[still] = t_hi[still]
-        t_hi[still] = xp.minimum(4.0 * t_hi[still], t_stop[still])
+        t_hi[still] = np.minimum(4.0 * t_hi[still], t_stop[still])
     for unit_brackets in brackets.values():
         unit_brackets.sort(key=lambda b: (b[1], b[0]))
     return brackets
@@ -319,7 +322,7 @@ def _expand_units(mapping, origins, directions, units, h0s, t_stops):
 def _unit_t_stops(tensor, units, directions):
     """Per-unit box-exit arrays (bound-independent, computed once per
     problem and shared by its units)."""
-    per_problem: dict[int, xp.ndarray] = {}
+    per_problem: dict[int, np.ndarray] = {}
     out = []
     for pi, _, _ in units:
         if pi not in per_problem:
@@ -369,14 +372,14 @@ def _select_winners(tensor, units, brackets, directions, origins, h0s):
             metrics.inc("solver.tensor_pruned", pruned)
         return winners
 
-    unit_b = xp.asarray([f[0] for f in flat], dtype=xp.intp)
-    row_b = xp.asarray([f[1] for f in flat], dtype=xp.intp)
-    lo_b = xp.asarray([f[2] for f in flat])
-    hi_b = xp.asarray([f[3] for f in flat])
-    f_hi = xp.asarray([f[4] for f in flat])
-    p_b = xp.asarray([units[u][0] for u in unit_b], dtype=xp.intp)
-    beta_b = xp.asarray([units[u][2] for u in unit_b])
-    h0_b = xp.asarray([h0s[u] for u in unit_b])
+    unit_b = np.asarray([f[0] for f in flat], dtype=np.intp)
+    row_b = np.asarray([f[1] for f in flat], dtype=np.intp)
+    lo_b = np.asarray([f[2] for f in flat])
+    hi_b = np.asarray([f[3] for f in flat])
+    f_hi = np.asarray([f[4] for f in flat])
+    p_b = np.asarray([units[u][0] for u in unit_b], dtype=np.intp)
+    beta_b = np.asarray([units[u][2] for u in unit_b])
+    h0_b = np.asarray([h0s[u] for u in unit_b])
 
     def evaluate(ts, rows):
         points = origins[p_b[rows]] + ts[:, None] * directions[row_b[rows]]
@@ -387,9 +390,9 @@ def _select_winners(tensor, units, brackets, directions, origins, h0s):
     # batched round at the bottoms — except t=0 rows, whose value is the
     # problem's scalar h0 (no drift where the exact float is free).
     at_zero = lo_b == 0.0
-    f_lo = xp.empty(lo_b.shape[0])
+    f_lo = np.empty(lo_b.shape[0])
     f_lo[at_zero] = h0_b[at_zero]
-    inner = xp.flatnonzero(~at_zero)
+    inner = np.flatnonzero(~at_zero)
     if inner.size:
         points = origins[p_b[inner]] \
             + lo_b[inner, None] * directions[row_b[inner]]
@@ -415,7 +418,7 @@ def _select_winners(tensor, units, brackets, directions, origins, h0s):
         pruned += len(ks) - len(cands)
         problem = tensor.problems[units[u][0]]
         bound = units[u][2]
-        best_t, best_row = xp.inf, -1
+        best_t, best_row = np.inf, -1
         for k in sorted(cands, key=lambda k: (float(lo_b[k]), int(row_b[k]))):
             t = _refine_bracket(problem.mapping, problem.origin,
                                 directions[int(row_b[k])], bound,
@@ -503,7 +506,7 @@ def _numeric_unit_crossings(tensor, units, value0s, seed):
     out = {}
     for u, (pi, _, b) in enumerate(units):
         problem = tensor.problems[pi]
-        ts = xp.full(m, xp.nan)
+        ts = np.full(m, np.nan)
         if h0s[u] == 0.0:
             ts[:] = 0.0
         else:
@@ -527,116 +530,55 @@ def solve_problem_tensor(tensor: ProblemTensor, *, seed=None, warm=None):
     method=tensor.method, seed=seed, cache=False)`` — including the
     per-bound table, quality, and diagnostics trail — and each wrapped in
     its own ``radius.solve``/``radius.bound`` spans so traces keep their
-    per-problem shape.
+    per-problem shape.  Members share ``compute_radius``'s preflight and
+    per-bound fold; a group whose members all sit on a bound runs no
+    kernel at all.
 
     ``warm`` optionally threads a family
     :class:`~repro.core.solvers.warm.WarmStart` (bisection tier, shared
     geometry only); it changes evaluation counts, never results.
     """
-    from repro.core.radius import RadiusResult, _timed_solve
-
     problems = tensor.problems
-    metrics = get_metrics()
-    results: list = [None] * len(problems)
+    results: list = []
     with span("radius.tensor", problems=len(problems), tier=tensor.tier,
               dim=tensor.dim) as tsp:
-        metrics.inc("radius.tensor_solves")
-        value0s = []
-        units: list[tuple[int, int, float]] = []
-        for pi, problem in enumerate(problems):
-            metrics.inc("radius.solves")
-            value0 = problem.original_value
-            value0s.append(value0)
-            if not problem.bounds.contains(value0):
-                raise InfeasibleAllocationError(
-                    f"feature value {value0:g} violates the tolerance "
-                    f"interval [{problem.bounds.beta_min:g}, "
-                    f"{problem.bounds.beta_max:g}] at the original "
-                    "operating point; robustness is undefined")
-            finite_bounds = problem.bounds.finite_bounds
-            degenerate = next((b for b in finite_bounds if value0 == b),
-                              None)
-            if degenerate is not None:
-                results[pi] = RadiusResult(
-                    radius=0.0, boundary_point=problem.origin.copy(),
-                    bound_hit=degenerate, method="degenerate",
-                    original_value=value0, per_bound={degenerate: 0.0},
-                    quality=Quality.EXACT)
-                metrics.inc("radius.method.degenerate")
-                continue
-            for j, b in enumerate(finite_bounds):
-                units.append((pi, j, float(b)))
-
-        if tensor.tier == "bisection":
+        get_metrics().inc("radius.tensor_solves")
+        preflights = [_preflight(problem) for problem in problems]
+        value0s = [value0 for value0, _ in preflights]
+        units = [(pi, j, float(b))
+                 for pi, (problem, (_, degenerate)) in enumerate(
+                     zip(problems, preflights)) if degenerate is None
+                 for j, b in enumerate(problem.bounds.finite_bounds)]
+        unit_of = {(pi, b): u for u, (pi, _, b) in enumerate(units)}
+        if units and tensor.tier == "bisection":
             winners, directions = _solve_bisection_units(
                 tensor, units, value0s, seed, warm)
-        else:
+        elif units:
             crossings_ts = _numeric_unit_crossings(tensor, units, value0s,
                                                    seed)
-        unit_index = {(pi, j): u for u, (pi, j, _) in enumerate(units)}
 
-        for pi, problem in enumerate(problems):
-            if results[pi] is not None:
-                continue
+        def solve_bound(pi, b, trail):
+            problem, u = problems[pi], unit_of[(pi, float(b))]
+            if tensor.tier == "bisection":
+                fn = _bisection_crossing_fn(problem, b, directions,
+                                            winners[u], value0s[pi])
+            else:
+                def fn():
+                    return solve_numeric_radius(
+                        problem.mapping, problem.origin, b,
+                        lower=problem.lower, upper=problem.upper, seed=seed,
+                        crossings_ts=crossings_ts[u])
+            return _timed_solve(tensor.tier, b, fn, trail), tensor.tier
+
+        for pi, (problem, preflight) in enumerate(zip(problems, preflights)):
             with span("radius.solve", method=tensor.method,
                       dim=problem.origin.size) as sp:
-                best = None
-                best_method = "none"
-                per_bound: dict = {}
-                trail: list = []
-                methods_used: list = []
-                for j, b in enumerate(problem.bounds.finite_bounds):
-                    u = unit_index[(pi, j)]
-                    with span("radius.bound", bound=float(b)) as bsp:
-                        if tensor.tier == "bisection":
-                            crossing = _timed_solve(
-                                "bisection", b,
-                                _bisection_crossing_fn(
-                                    problem, b, directions, winners[u],
-                                    value0s[pi]),
-                                trail)
-                        else:
-                            crossing = _timed_solve(
-                                "numeric", b,
-                                lambda u=u, b=b: solve_numeric_radius(
-                                    problem.mapping, problem.origin, b,
-                                    lower=problem.lower,
-                                    upper=problem.upper, seed=seed,
-                                    crossings_ts=crossings_ts[u]),
-                                trail)
-                        if bsp is not None:
-                            bsp.tags["solver"] = tensor.tier
-                            bsp.tags["found"] = crossing is not None
-                    methods_used.append(tensor.tier)
-                    per_bound[b] = crossing.distance \
-                        if crossing is not None else math.inf
-                    if crossing is not None and (
-                            best is None
-                            or crossing.distance < best.distance):
-                        best = crossing
-                        best_method = tensor.tier
-                qualities = [quality_of_method(m) for m in methods_used]
-                quality = max(qualities, key=list(Quality).index,
-                              default=Quality.EXACT)
-                if best is None:
-                    result = RadiusResult(
-                        radius=math.inf, boundary_point=None,
-                        bound_hit=None,
-                        method=best_method if best_method != "none"
-                        else tensor.method,
-                        original_value=value0s[pi], per_bound=per_bound,
-                        quality=quality, diagnostics=tuple(trail))
-                else:
-                    result = RadiusResult(
-                        radius=best.distance, boundary_point=best.point,
-                        bound_hit=best.bound, method=best_method,
-                        original_value=value0s[pi], per_bound=per_bound,
-                        quality=quality, diagnostics=tuple(trail))
-                metrics.inc(f"radius.method.{result.method}")
+                result = _fold(problem, tensor.method, preflight,
+                               partial(solve_bound, pi))
                 if sp is not None:
                     sp.tags["solver"] = result.method
                     sp.tags["quality"] = result.quality.name
-            results[pi] = result
+            results.append(result)
         if tsp is not None:
             tsp.tags["units"] = len(units)
     return results
@@ -671,38 +613,22 @@ def solve_group(problems, *, method: str = "auto", seed=None, cache=None):
     ``numpy.random.Generator`` seed forces the per-problem loop in
     problem order — batching would reorder draws from the shared stream.
     """
-    from repro.core.radius import compute_radius
-    from repro.parallel.cache import resolve_cache
+    def solve(misses):
+        if isinstance(seed, np.random.Generator):
+            return [compute_radius(p, method=method, seed=seed, cache=False)
+                    for p in misses]
+        results: list = [None] * len(misses)
+        for idxs, tensor in ProblemTensor.partition(misses, method):
+            solved = solve_problem_tensor(tensor, seed=seed) \
+                if tensor is not None \
+                else [compute_radius(misses[k], method=method, seed=seed,
+                                     cache=False) for k in idxs]
+            for k, result in zip(idxs, solved):
+                results[k] = result
+        return results
 
-    problems = list(problems)
-    cache = resolve_cache(cache)
-    keys: list = [None] * len(problems)
-    results: list = [None] * len(problems)
-    if cache is not None:
-        for i, problem in enumerate(problems):
-            keys[i] = cache.key(problem, method=method, seed=seed)
-            results[i] = cache.get(keys[i])
-    pending = [i for i, r in enumerate(results) if r is None]
-    if isinstance(seed, xp.random.Generator):
-        for i in pending:
-            results[i] = compute_radius(problems[i], method=method,
-                                        seed=seed, cache=False)
-    else:
-        for idxs, tensor in ProblemTensor.partition(
-                [problems[i] for i in pending], method):
-            if tensor is None:
-                for k in idxs:
-                    results[pending[k]] = compute_radius(
-                        problems[pending[k]], method=method, seed=seed,
-                        cache=False)
-            else:
-                for k, result in zip(idxs,
-                                     solve_problem_tensor(tensor, seed=seed)):
-                    results[pending[k]] = result
-    if cache is not None:
-        for i in pending:
-            cache.put(keys[i], results[i])
-    return results
+    return _cache_pass(list(problems), solve, method=method, seed=seed,
+                       cache=cache)
 
 
 def _solve_group_task(problems, method, seed):

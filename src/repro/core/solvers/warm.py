@@ -26,8 +26,8 @@ so both record (and hit) the *same* cache entry.
 
 from __future__ import annotations
 
+import numpy as np
 
-from repro.core.backend import xp
 from repro.core.mappings import (
     CallableMapping,
     FeatureMapping,
@@ -60,7 +60,7 @@ def is_ray_convex(mapping: FeatureMapping) -> bool:
         # Positive-semidefinite quadratic part <=> convex.  Strict test:
         # a numerically borderline matrix falls back to the uncertified
         # (correct, merely less lazy) path.
-        return bool(xp.linalg.eigvalsh(mapping.quadratic).min() >= 0.0)
+        return bool(np.linalg.eigvalsh(mapping.quadratic).min() >= 0.0)
     if isinstance(mapping, (MaxMapping, SumMapping)):
         return all(is_ray_convex(comp) for comp in mapping.components)
     if isinstance(mapping, (RestrictedMapping, ReweightedMapping)):
@@ -80,7 +80,7 @@ def is_ray_convex(mapping: FeatureMapping) -> bool:
 def _box_bytes(bound) -> bytes | None:
     if bound is None:
         return None
-    return xp.ascontiguousarray(xp.asarray(bound, dtype=xp.float64)).tobytes()
+    return np.ascontiguousarray(np.asarray(bound, dtype=np.float64)).tobytes()
 
 
 class RayTable:
@@ -107,14 +107,14 @@ class RayTable:
         #: Number of fresh batched evaluations spent extending ladders.
         self.fresh_evals = 0
 
-    def bind(self, origin: xp.ndarray, directions: xp.ndarray,
-             lower: xp.ndarray | None, upper: xp.ndarray | None,
+    def bind(self, origin: np.ndarray, directions: np.ndarray,
+             lower: np.ndarray | None, upper: np.ndarray | None,
              t_max: float, t_init: float) -> None:
         """(Re)attach the table to a ray geometry, resetting on mismatch."""
         key = (
-            xp.ascontiguousarray(origin).tobytes(),
+            np.ascontiguousarray(origin).tobytes(),
             directions.shape,
-            xp.ascontiguousarray(directions).tobytes(),
+            np.ascontiguousarray(directions).tobytes(),
             _box_bytes(lower),
             _box_bytes(upper),
             float(t_max),
@@ -131,7 +131,7 @@ class RayTable:
     def n_rows(self) -> int:
         return len(self._ts)
 
-    def ensure_g0(self, mapping: FeatureMapping, origin: xp.ndarray) -> float:
+    def ensure_g0(self, mapping: FeatureMapping, origin: np.ndarray) -> float:
         """The (memoised) raw feature value at the origin."""
         if self.g0 is None:
             self.g0 = float(mapping.value(origin))

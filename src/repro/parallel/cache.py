@@ -16,11 +16,15 @@ reuse across repeated radius evaluations at nearby operating points.
 * the origin vector, tolerance bounds, norm, and box constraints;
 * the solver ``method`` and the ``seed`` (stochastic solvers draw from
   it, so different seeds must never share an entry) — *except* for
-  structurally deterministic solves (an affine mapping, or a
-  diagonal-quadratic under ``method="auto"`` with no box and the
-  Euclidean norm), whose dispatch can never reach a seeded solver: those
-  are keyed on a ``deterministic`` marker instead, so repeated
-  ``validate_radius`` sweeps across seeds share one entry.
+  structurally deterministic solves, whose tier ladder is closed-form
+  throughout (an affine mapping, or a diagonal-quadratic under
+  ``method="auto"`` with no box and the Euclidean norm) and so can never
+  reach a seeded solver: those are keyed on a ``deterministic`` marker
+  instead, so repeated ``validate_radius`` sweeps across seeds share one
+  entry.  A :class:`~repro.resilience.cascade.SolverCascade` solve is
+  keyed under its own ``cascade:<config>`` method token, so it never
+  shares an entry with a plain solve or with a differently configured
+  cascade.
 
 Mappings without a stable structure key (arbitrary callables) and — for
 seed-dependent solves only — stateful :class:`numpy.random.Generator`
@@ -57,32 +61,13 @@ __all__ = [
 
 
 def _is_deterministic_solve(problem: "RadiusProblem", method: str) -> bool:
-    """Whether the dispatch for ``problem`` can never reach a seeded solver.
+    """Whether every tier of the problem's solver ladder is closed-form
+    (see :func:`~repro.core.radius._tier_ladder`), so no solve of it can
+    ever draw from the seed."""
+    # Imported lazily: repro.core.radius imports this module at import time.
+    from repro.core.radius import _CLOSED_FORM, _tier_ladder
 
-    Mirrors the dispatch rules of
-    :func:`~repro.core.radius._solve_one_bound`: an affine mapping is
-    handled entirely by the closed-form solvers unless a box forces the
-    non-Euclidean fall-through to directional bisection, and a
-    diagonal-quadratic goes to the exact ellipsoid projection under
-    ``method="auto"`` with the Euclidean norm and no box.  Every other
-    path (numeric multistart, bisection) draws from the seed.
-    """
-    if method == "analytic":
-        return True
-    if method != "auto":
-        return False
-    # Imported lazily: repro.core.boundary is cheap but repro.core.radius
-    # imports this module at import time.
-    from repro.core.boundary import as_diagonal_quadratic, as_linear
-
-    if as_linear(problem.mapping) is not None:
-        has_box = problem.lower is not None or problem.upper is not None
-        # Affine + box + non-Euclidean norm can fall through to the
-        # seeded directional solver when the hyperplane is unreachable.
-        return problem.norm == 2 or not has_box
-    return (problem.norm == 2
-            and problem.lower is None and problem.upper is None
-            and as_diagonal_quadratic(problem.mapping) is not None)
+    return _CLOSED_FORM.issuperset(_tier_ladder(problem, method)[0])
 
 
 def _digest_array(arr: np.ndarray | None) -> str:
@@ -144,7 +129,14 @@ class RadiusCache:
         position cannot be fingerprinted.  Structurally deterministic
         solves (see :func:`_is_deterministic_solve`) replace the seed
         with a fixed marker, so every seed shares their entries — no
-        randomness is ever drawn for them.
+        randomness is ever drawn for them.  ``method`` is hashed as
+        given: besides the solver methods it may be any other token
+        naming how the radius is solved (a cascade solve passes
+        ``cascade:<config>``), and such a token is always seed-keyed.
+
+        Raises :class:`~repro.exceptions.SpecificationError` for
+        ``method="analytic"`` on a mapping that is not structurally
+        affine, exactly as the solve itself would.
         """
         structure = problem.mapping.structure_key()
         deterministic = (structure is not None

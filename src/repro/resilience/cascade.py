@@ -10,15 +10,18 @@ cascade returns the best *rigorous upper bound* on the radius it obtained,
 tagged with an honest :class:`~repro.core.diagnostics.Quality` grade and a
 full :class:`~repro.core.diagnostics.SolverAttempt` trail.
 
-The degradation ladder per tolerance bound is
+The degradation ladder per tolerance bound is the plain dispatcher's tier
+ladder (:func:`~repro.core.radius._tier_ladder`, with the same solver per
+tier) extended by the directional fallbacks
 
-    analytic / ellipsoid  →  numeric projection  →  directional bisection
+    analytic / analytic-box / ellipsoid  →  numeric  →  bisection
 
-with a whole-interval Monte-Carlo violation search as the final fallback
-when no bound yields a verified crossing.  Soundness of the degraded
-answers rests on one fact: any verified point *on or beyond* the boundary
-lies at distance ``>=`` the true radius, so the minimum over whatever
-bounds were resolved is always a valid upper bound.
+(numeric in the Euclidean norm only), with a whole-interval Monte-Carlo
+violation search as the final fallback when no bound yields a verified
+crossing.  Soundness of the degraded answers rests on one fact: any
+verified point *on or beyond* the boundary lies at distance ``>=`` the
+true radius, so the minimum over whatever bounds were resolved is always
+a valid upper bound.
 
 The only exceptions that escape :meth:`SolverCascade.compute` are genuine
 specification problems (an infeasible original operating point, malformed
@@ -35,18 +38,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.boundary import (
-    BoundaryCrossing,
-    as_diagonal_quadratic,
-    as_linear,
+from repro.core.boundary import BoundaryCrossing
+from repro.core.diagnostics import Quality, SolverAttempt, quality_of_method
+from repro.core.radius import (
+    _CLOSED_FORM,
+    _SOLVERS,
+    RadiusProblem,
+    RadiusResult,
+    _tier_ladder,
 )
-from repro.core.diagnostics import Quality, SolverAttempt
-from repro.core.radius import RadiusProblem, RadiusResult
-from repro.core.solvers.analytic import solve_linear_radius
-from repro.core.solvers.bisection import solve_bisection_radius
-from repro.core.solvers.box_linear import solve_linear_box_radius
-from repro.core.solvers.ellipsoid import solve_ellipsoid_radius
-from repro.core.solvers.numeric import solve_numeric_radius
 from repro.core.solvers.sampling import sampling_upper_bound
 from repro.exceptions import (
     BoundaryNotFoundError,
@@ -279,51 +279,23 @@ class SolverCascade:
     # stage plans
     # ------------------------------------------------------------------
     def _stages(self, problem: RadiusProblem, bound: float):
-        """The (name, is_exact, fn) degradation ladder for one bound."""
-        stages = []
-        has_box = problem.lower is not None or problem.upper is not None
-        linear = as_linear(problem.mapping)
-        if linear is not None:
-            if has_box and problem.norm == 2:
-                stages.append((
-                    "analytic-box", True,
-                    lambda rng: solve_linear_box_radius(
-                        linear, problem.origin, bound,
-                        lower=problem.lower, upper=problem.upper)))
-            else:
-                # With a box in a non-Euclidean norm the unboxed closed form
-                # is not definitive; treat it as inexact evidence there.
-                stages.append((
-                    "analytic", not has_box,
-                    lambda rng: solve_linear_radius(
-                        linear, problem.origin, bound, norm=problem.norm,
-                        lower=problem.lower, upper=problem.upper)))
-        elif problem.norm == 2 and not has_box:
-            diag = as_diagonal_quadratic(problem.mapping)
-            if diag is not None:
-                stages.append((
-                    "ellipsoid", True,
-                    lambda rng: solve_ellipsoid_radius(diag, problem.origin,
-                                                       bound)))
-        if problem.norm == 2:
-            stages.append((
-                "numeric", False,
-                lambda rng: solve_numeric_radius(
-                    problem.mapping, problem.origin, bound,
-                    lower=problem.lower, upper=problem.upper, seed=rng)))
-        stages.append((
-            "bisection", False,
-            lambda rng: solve_bisection_radius(
-                problem.mapping, problem.origin, bound, norm=problem.norm,
-                lower=problem.lower, upper=problem.upper, seed=rng)))
-        return stages
+        """The (name, is_exact, fn) degradation ladder for one bound.
 
-    _STAGE_QUALITY = {"analytic": Quality.EXACT,
-                      "analytic-box": Quality.EXACT,
-                      "ellipsoid": Quality.EXACT,
-                      "numeric": Quality.CONVERGED,
-                      "bisection": Quality.UPPER_BOUND,
-                      "sampling": Quality.UPPER_BOUND}
+        The plain ``auto`` tier ladder (see
+        :func:`~repro.core.radius._tier_ladder`) extended by the numeric
+        projection (Euclidean norm only) and directional bisection.  A
+        closed-form tier is definitive — its "unreachable" a proof — only
+        where the plain ladder ends at it; an unboxed hyperplane with
+        bisection behind it is evidence, not proof.
+        """
+        ladder, form = _tier_ladder(problem, "auto")
+        fallbacks = ("numeric", "bisection") if problem.norm == 2 \
+            else ("bisection",)
+        tiers = ladder + tuple(t for t in fallbacks if t not in ladder)
+        return [(tier, tier in _CLOSED_FORM and tier == ladder[-1],
+                 lambda rng, tier=tier: _SOLVERS[tier](problem, form, bound,
+                                                       rng, None))
+                for tier in tiers]
 
     # ------------------------------------------------------------------
     # the cascade
@@ -340,7 +312,7 @@ class SolverCascade:
                                                      crossing):
                     return _BoundOutcome(
                         crossing=crossing,
-                        quality=self._STAGE_QUALITY[name],
+                        quality=quality_of_method(name),
                         status="solved", method=name)
                 self._record(trail, name, bound, 0, time.perf_counter(),
                              "rejected",

@@ -25,12 +25,15 @@ is the *service-shaped* alternative:
 * a cross-process :class:`~repro.service.cache.SharedRadiusCache` —
   solves performed by any worker for any client warm every other client.
 
-Determinism contract: for a fixed seed, :meth:`compute` returns results
-**bit-identical** to :func:`repro.core.radius.compute_radii` on the
-in-process library path, for any worker count, with tracing on or off
-(``tests/service/test_identity.py`` proves it).  Requests are processed
-strictly in admission order by one dispatcher thread, so a fixed request
-sequence yields a replayable execution.
+Determinism contract: for a fixed stateless seed, :meth:`compute` returns
+results **bit-identical** to :func:`repro.core.radius.compute_radii` on
+the in-process library path, for any worker count, with tracing on or off
+(``tests/service/test_identity.py`` proves it).  A stateful
+:class:`numpy.random.Generator` seed is rejected at :meth:`submit`: group
+tasks in worker processes cannot draw from the caller's stream in problem
+order.  Requests are processed strictly in admission order by one
+dispatcher thread, so a fixed request sequence yields a replayable
+execution.
 
 Observability: ``service.queue_depth`` / ``service.inflight`` /
 ``service.shm_bytes`` gauges, ``service.admit`` / ``service.shed`` /
@@ -299,10 +302,19 @@ class RadiusService:
             back to the in-process :func:`~repro.core.radius.compute_radii`.
         ServiceClosedError
             When the service has been closed.
+        SpecificationError
+            For an empty request, a non-problem, or a stateful
+            :class:`numpy.random.Generator` seed (every group task would
+            restart from the caller's stream position); pass an integer
+            seed, or let ``compute_radii`` solve it in-process.
         """
         problems = list(problems)
         if not problems:
             raise SpecificationError("cannot submit an empty request")
+        if isinstance(seed, np.random.Generator):
+            raise SpecificationError(
+                "the service cannot draw from a stateful Generator seed in "
+                "problem order; pass an integer seed or solve in-process")
         for p in problems:
             if not isinstance(p, RadiusProblem):
                 raise SpecificationError(
@@ -423,9 +435,8 @@ class RadiusService:
         # cross the process boundary, so the frontend stores for it after
         # the gather.
         shared = cache if isinstance(cache, SharedRadiusCache) else None
-        stateless = not isinstance(seed, np.random.Generator)
 
-        if self.config.use_shm and stateless:
+        if self.config.use_shm:
             # Position of problem i inside the published miss-batch.
             position = {i: j for j, i in enumerate(pending)}
             with SharedProblemBatch.publish(
@@ -439,8 +450,8 @@ class RadiusService:
                     self.executor.run(tasks), tasks, executor=self.executor)
         else:
             tasks = [Task(_solve_group_pickled,
-                          ([problems[i] for i in idxs], method,
-                           seed, shared if stateless else None))
+                          ([problems[i] for i in idxs], method, seed,
+                           shared))
                      for idxs in groups.values()]
             solved = resolve_task_failures(
                 self.executor.run(tasks), tasks, executor=self.executor)

@@ -17,11 +17,14 @@ from repro.core.mappings import (
     QuadraticMapping,
 )
 from repro.core.radius import (
+    _CLOSED_FORM,
     RadiusProblem,
     _solver_structure,
+    _tier_ladder,
     compute_radii,
     compute_radius,
 )
+from repro.exceptions import SpecificationError
 from repro.observability import observing
 from repro.parallel.cache import (
     RadiusCache,
@@ -30,6 +33,7 @@ from repro.parallel.cache import (
     uninstall_default_cache,
 )
 from repro.parallel.executor import ParallelExecutor
+from repro.resilience.cascade import SolverCascade
 
 
 @pytest.fixture(autouse=True)
@@ -159,6 +163,53 @@ class TestObservability:
         assert batch.tags["hits"] >= 3
 
 
+# The tier ladder over every mapping kind x norm x box x method.
+KINDS = {
+    "linear": LinearMapping([1.0, 0.5, 0.25]),
+    "diag_quadratic": QuadraticMapping(np.diag([1.0, 2.0, 3.0])),
+    "full_quadratic": QuadraticMapping([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2],
+                                        [0.0, 0.2, 1.5]]),
+    "max": MaxMapping([LinearMapping([1.0, 0.0, 0.5]),
+                       LinearMapping([0.0, 1.0, -0.5], 0.2)]),
+}
+METHODS = ["auto", "analytic", "numeric", "bisection"]
+
+
+def _ladder_problem(kind: str, norm, boxed: bool) -> RadiusProblem:
+    mapping = KINDS[kind]
+    origin = np.array([0.1, 0.2, 0.3])
+    phi0 = mapping.value(origin)
+    # A box of half-width 0.8 keeps the l1 hyperplane witness (a 1.0 step
+    # along the first axis) out of reach, so the affine l1 ladder falls
+    # through to bisection, while the l-inf witness stays inside it.
+    box = dict(lower=origin - 0.8, upper=origin + 0.8) if boxed else {}
+    return RadiusProblem(mapping, origin,
+                         ToleranceBounds(phi0 - 1.0, phi0 + 1.0), norm=norm,
+                         **box)
+
+
+def _expected_ladder(kind: str, norm, boxed: bool, method: str):
+    """The documented ladder, or ``None`` where the method is rejected."""
+    if method in ("auto", "analytic") and kind == "linear":
+        if method == "auto" and boxed:
+            return ("analytic-box",) if norm == 2 \
+                else ("analytic", "bisection")
+        return ("analytic",)
+    if method == "analytic":
+        return None
+    if method == "auto" and kind == "diag_quadratic" and norm == 2 \
+            and not boxed:
+        return ("ellipsoid",)
+    if method == "bisection" or norm != 2:
+        return ("bisection",)
+    return ("numeric",)
+
+
+LADDER_CASES = [(kind, norm, boxed, method) for kind in KINDS
+                for norm in (1, 2, np.inf) for boxed in (False, True)
+                for method in METHODS]
+
+
 class TestSolverStructure:
     def test_tiers_partition_as_documented(self):
         lin = RadiusProblem(LinearMapping([1.0, 1.0]), np.zeros(2),
@@ -172,3 +223,72 @@ class TestSolverStructure:
         assert _solver_structure(quad_l1, "auto")[0] == "bisection"
         assert _solver_structure(quad, "numeric")[0] == "numeric"
         assert _solver_structure(quad, "bisection")[0] == "bisection"
+
+    def test_analytic_on_non_affine_group_raises(self):
+        # A group of non-affine problems must not ride the numeric tensor
+        # tier under method="analytic": it raises like compute_radius.
+        quad = QuadraticMapping(np.eye(2))
+        problems = [RadiusProblem(quad, np.zeros(2),
+                                  ToleranceBounds.upper(beta))
+                    for beta in (1.0, 2.0)]
+        with pytest.raises(SpecificationError, match="affine"):
+            compute_radius(problems[0], method="analytic", cache=False)
+        for cache in (False, RadiusCache()):
+            with pytest.raises(SpecificationError, match="affine"):
+                compute_radii(problems, method="analytic", cache=cache)
+
+    @pytest.mark.parametrize("kind,norm,boxed,method", LADDER_CASES)
+    def test_every_path_follows_the_ladder(self, kind, norm, boxed, method):
+        problem = _ladder_problem(kind, norm, boxed)
+        expected = _expected_ladder(kind, norm, boxed, method)
+        cache = RadiusCache()
+        if expected is None:
+            for solve in (
+                    lambda: _tier_ladder(problem, method),
+                    lambda: compute_radius(problem, method=method,
+                                           cache=False),
+                    lambda: compute_radii([problem, problem], method=method,
+                                          cache=False),
+                    lambda: cache.key(problem, method=method)):
+                with pytest.raises(SpecificationError, match="affine"):
+                    solve()
+            return
+        ladder, _ = _tier_ladder(problem, method)
+        assert ladder == expected
+        # Grouping reads the first rung, analytic-box counted as analytic.
+        tier = "analytic" if expected[0] == "analytic-box" else expected[0]
+        assert _solver_structure(problem, method) == (tier, 3, 2)
+        # The cache drops the seed exactly when every rung is closed-form.
+        deterministic = _CLOSED_FORM.issuperset(ladder)
+        assert (cache.key(problem, method=method, seed=1)
+                == cache.key(problem, method=method, seed=2)) \
+            == deterministic
+        # Each bound walks the ladder: unreachable rungs, then the answer.
+        result = compute_radius(problem, method=method, seed=0, cache=False)
+        for bound in problem.bounds.finite_bounds:
+            attempts = [a for a in result.diagnostics if a.bound == bound]
+            assert tuple(a.solver for a in attempts) \
+                == ladder[:len(attempts)]
+            assert all(a.outcome == "unreachable" for a in attempts[:-1])
+            assert attempts[-1].outcome == "ok" \
+                or len(attempts) == len(ladder)
+
+    def test_ladders_that_fall_through_are_exercised(self):
+        problem = _ladder_problem("linear", 1, True)
+        result = compute_radius(problem, seed=0, cache=False)
+        assert [a.solver for a in result.diagnostics
+                if a.bound == problem.bounds.beta_max] \
+            == ["analytic", "bisection"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("norm", [1, 2, np.inf])
+    @pytest.mark.parametrize("boxed", [False, True])
+    def test_cascade_extends_the_auto_ladder(self, kind, norm, boxed):
+        problem = _ladder_problem(kind, norm, boxed)
+        ladder, _ = _tier_ladder(problem, "auto")
+        stages = SolverCascade()._stages(problem,
+                                         problem.bounds.beta_max)
+        names = tuple(name for name, _, _ in stages)
+        assert names[:len(ladder)] == ladder
+        assert names[-1] == "bisection"
+        assert ("numeric" in names) == (norm == 2)

@@ -174,6 +174,50 @@ class TestBisectionTierIdentity:
         _assert_identical(got, want)
         assert got[0].radius == 0.0 and got[0].method == "degenerate"
 
+    @pytest.mark.parametrize("method", ["auto", "bisection"])
+    def test_all_degenerate_group(self, method):
+        # Every member sits exactly on a bound, so no (problem, bound)
+        # unit is left for the kernel: it must not run at all.  "auto"
+        # sends the Max mapping to the numeric tier.
+        mapping = MaxMapping([LinearMapping([1.0, 2.0]),
+                              LinearMapping([2.0, -1.0], 0.5)])
+        problems = [RadiusProblem(mapping, origin,
+                                  ToleranceBounds(-2.0, mapping.value(origin)))
+                    for origin in (np.zeros(2), np.array([0.25, 0.0]))]
+        assert len({ProblemTensor.batch_key(p, method)
+                    for p in problems}) == 1
+        want = [compute_radius(p, method=method, seed=3, cache=False)
+                for p in problems]
+        got = compute_radii(problems, method=method, seed=3, cache=False)
+        _assert_identical(got, want)
+        assert all(r.radius == 0.0 and r.method == "degenerate" for r in got)
+
+    def test_degenerate_cached_counted_and_spanned_alike(self):
+        mapping = LinearMapping([1.0, 1.0])
+        degenerate = RadiusProblem(mapping, np.zeros(2),
+                                   ToleranceBounds(-2.0, 0.0))
+        normal = RadiusProblem(mapping, np.array([0.1, 0.2]),
+                               ToleranceBounds(-2.0, 2.0))
+        paths = {
+            "scalar": lambda cache: compute_radius(
+                degenerate, method="bisection", seed=3, cache=cache),
+            "tensor": lambda cache: solve_group(
+                [degenerate, normal, normal], method="bisection", seed=3,
+                cache=cache),
+        }
+        for path, solve in paths.items():
+            cache = RadiusCache()
+            with observing() as obs:
+                solve(cache)
+            stored = cache.get(cache.key(degenerate, method="bisection",
+                                         seed=3))
+            assert stored is not None and stored.method == "degenerate", path
+            snap = obs.metrics.snapshot()
+            assert snap["radius.method.degenerate"]["value"] == 1, path
+            assert len([s for s in obs.recorder.spans()
+                        if s.name == "radius.solve"
+                        and s.tags.get("solver") == "degenerate"]) == 1, path
+
     def test_infeasible_member_raises_like_scalar(self):
         mapping = LinearMapping([1.0, 1.0])
         bad = RadiusProblem(mapping, np.array([5.0, 5.0]),

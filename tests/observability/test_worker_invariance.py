@@ -8,13 +8,7 @@ metadata, never inputs.
 
 import json
 
-import numpy as np
-
-from repro.core.features import ToleranceBounds
-from repro.core.mappings import LinearMapping
-from repro.core.radius import RadiusProblem, compute_radius
 from repro.observability import Observability, observing
-from repro.parallel.executor import ParallelExecutor
 
 EXPERIMENT_IDS = ["E2", "E11", "E16"]  # seeded, deterministic, fast mix
 
@@ -80,19 +74,3 @@ class TestSweepInvariance:
         # them because the payloads were absorbed
         assert snap["radius.solves"]["value"] > 0
         assert snap["executor.dispatched"]["value"] == len(EXPERIMENT_IDS)
-
-
-class TestRadiusFanOutInvariance:
-    def test_traced_per_bound_fan_out_matches_untraced_serial(self):
-        problem = RadiusProblem(
-            LinearMapping([1.0, 2.0]), np.array([2.0, 1.0]),
-            ToleranceBounds(beta_min=1.0, beta_max=9.0))
-        baseline = compute_radius(problem, cache=False)
-        with observing():
-            with ParallelExecutor(2) as pool:
-                traced = compute_radius(problem, cache=False, executor=pool)
-        assert traced.radius == baseline.radius
-        assert traced.bound_hit == baseline.bound_hit
-        assert traced.per_bound == baseline.per_bound
-        np.testing.assert_array_equal(traced.boundary_point,
-                                      baseline.boundary_point)

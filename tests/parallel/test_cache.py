@@ -5,9 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.features import ToleranceBounds
-from repro.core.mappings import CallableMapping, LinearMapping
+from repro.core.features import PerformanceFeature, ToleranceBounds
+from repro.core.fepia import FeatureSpec, RobustnessAnalysis
+from repro.core.mappings import (
+    CallableMapping,
+    LinearMapping,
+    QuadraticMapping,
+)
+from repro.core.perturbation import PerturbationParameter
 from repro.core.radius import RadiusProblem, compute_radius
+from repro.core.weighting import IdentityWeighting
 from repro.exceptions import SpecificationError
 from repro.parallel.cache import (
     RadiusCache,
@@ -16,6 +23,7 @@ from repro.parallel.cache import (
     resolve_cache,
     uninstall_default_cache,
 )
+from repro.resilience.cascade import CascadeConfig, SolverCascade
 
 
 @pytest.fixture(autouse=True)
@@ -219,3 +227,42 @@ class TestDefaultCache:
         assert cached.radius == fresh.radius
         np.testing.assert_array_equal(cached.boundary_point,
                                       fresh.boundary_point)
+
+
+class TestCascadeKeying:
+    """A cascade solve and a plain solve of one problem may differ in the
+    last bits (the cascade re-rolls its own seed stream), so a shared
+    cache must keep them apart — and cascades of different configs too."""
+
+    @staticmethod
+    def _analysis(cache, cascade=None) -> RobustnessAnalysis:
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((4, 4))
+        mapping = QuadraticMapping(a @ a.T + np.eye(4))  # full: numeric tier
+        origin = np.abs(rng.standard_normal(4)) + 0.5
+        spec = FeatureSpec(PerformanceFeature(
+            "f", ToleranceBounds.relative(mapping.value(origin), 1.2)),
+            mapping)
+        return RobustnessAnalysis(
+            [spec], [PerturbationParameter("x", origin)],
+            weighting=IdentityWeighting(), seed=11, radius_cache=cache,
+            cascade=cascade)
+
+    def test_plain_solve_is_not_served_a_cascade_answer(self):
+        fresh = self._analysis(False).radius("f")
+        shared = RadiusCache()
+        self._analysis(shared, SolverCascade(seed=11)).radius("f")
+        plain = self._analysis(shared).radius("f")
+        assert plain.radius == fresh.radius
+        assert shared.stats()["hits"] == 0
+        assert len(shared) == 2
+
+    def test_cascade_configs_are_keyed_apart(self):
+        shared = RadiusCache()
+        configs = [CascadeConfig(), CascadeConfig(verify_rtol=1e-5)]
+        for config in configs:
+            self._analysis(shared, SolverCascade(config, seed=11)).radius("f")
+        assert shared.stats()["hits"] == 0
+        # The same config is served from the cache.
+        self._analysis(shared, SolverCascade(configs[0], seed=11)).radius("f")
+        assert shared.stats()["hits"] == 1

@@ -19,7 +19,6 @@ from repro.core.features import PerformanceFeature, ToleranceBounds
 from repro.core.fepia import FeatureSpec, RobustnessAnalysis
 from repro.core.mappings import LinearMapping, QuadraticMapping
 from repro.core.perturbation import PerturbationParameter
-from repro.core.radius import RadiusProblem, compute_radius
 from repro.parallel.executor import ParallelExecutor, Task
 from repro.resilience.checkpoint import Checkpoint, run_checkpointed
 
@@ -98,26 +97,6 @@ class TestValidationInvariance:
 
 
 class TestRadiusFanOutInvariance:
-    def test_per_bound_fan_out_matches_serial(self):
-        mapping = LinearMapping([1.0, 2.0])
-        origin = np.array([2.0, 1.0])
-        problem = RadiusProblem(
-            mapping, origin,
-            ToleranceBounds(beta_min=1.0, beta_max=9.0))
-        serial = compute_radius(problem, cache=False)
-        with ParallelExecutor(2) as pool:
-            parallel = compute_radius(problem, cache=False, executor=pool)
-            assert pool.dispatched == 2  # one task per finite bound
-        assert parallel.radius == serial.radius
-        assert parallel.bound_hit == serial.bound_hit
-        assert parallel.per_bound == serial.per_bound
-        assert parallel.method == serial.method
-        np.testing.assert_array_equal(parallel.boundary_point,
-                                      serial.boundary_point)
-        # same solver trail, modulo wall-clock timings
-        assert [(a.solver, a.bound, a.outcome) for a in parallel.diagnostics] \
-            == [(a.solver, a.bound, a.outcome) for a in serial.diagnostics]
-
     def test_analysis_level_fan_out_matches_serial(self):
         serial = _build_analysis()
         parallel = _build_analysis()
