@@ -227,12 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="radius problems per request (default 8)")
     srv.add_argument("--queue-limit", type=int, default=32, metavar="N",
                      help="bounded request queue size (default 32)")
-    srv.add_argument("--local-cache", action="store_true",
-                     help="use an in-process RadiusCache instead of the "
-                          "cross-process SharedRadiusCache")
     srv.add_argument("--repeat", type=int, default=2, metavar="N",
                      help="times the stream is replayed (default 2; "
-                          "replays exercise the shared cache)")
+                          "replays exercise the service cache)")
 
     bsv = sub.add_parser("bench-service",
                          help="time per-call pools vs the persistent "
@@ -702,9 +699,7 @@ def _cmd_serve(args) -> int:
         seed=args.seed, requests=args.requests,
         problems_per_request=args.problems_per_request)
     solve_seed = args.seed + 1
-    config = ServiceConfig(
-        queue_limit=args.queue_limit,
-        cache="local" if args.local_cache else "shared")
+    config = ServiceConfig(queue_limit=args.queue_limit)
     identical = True
     with RadiusService(args.workers, config=config,
                        seed=args.seed) as service:

@@ -33,7 +33,6 @@ from repro.core.pspace import ConcatenatedPerturbation
 from repro.core.radius import (
     RadiusProblem,
     RadiusResult,
-    _cache_pass,
     compute_radii,
     compute_radius,
 )
@@ -121,7 +120,8 @@ class RobustnessAnalysis:
     radius_cache:
         A :class:`~repro.parallel.cache.RadiusCache` consulted before
         every radius solve, ``None`` to defer to the installed default
-        cache, or ``False`` to disable caching for this analysis.
+        cache, or ``False`` to disable caching for this analysis.  A
+        ``cascade`` solve never reads or writes it.
     """
 
     def __init__(
@@ -225,21 +225,14 @@ class RobustnessAnalysis:
     def _solve(self, problem: RadiusProblem) -> RadiusResult:
         """Route a radius computation through the configured solver path.
 
-        A cascade solve is cached under its own ``cascade:<config>``
-        method token: a plain solve sharing the cache (the CLI's default
-        one, say) must never be served a cascade's answer, nor one
-        cascade another's.
+        A cascade solve bypasses the radius cache: the cascade draws a
+        fresh child stream from its own seed on every call, so no cache
+        key can make a stored answer equal a fresh one.
         """
         if self.cascade is None:
             return compute_radius(problem, method=self.method,
                                   seed=self.seed, cache=self.radius_cache)
-        [result] = _cache_pass(
-            [problem],
-            lambda misses: [self.cascade.compute(p, method=self.method)
-                            for p in misses],
-            method=f"cascade:{self.cascade.config!r}", seed=self.seed,
-            cache=self.radius_cache)
-        return result
+        return self.cascade.compute(problem, method=self.method)
 
     def _can_batch(self) -> bool:
         """Whether independent solves may go through the batched frontend.

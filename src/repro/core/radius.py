@@ -28,7 +28,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 
@@ -60,6 +60,18 @@ __all__ = ["RadiusProblem", "RadiusResult", "compute_radius", "compute_radii"]
 logger = logging.getLogger(__name__)
 
 Method = Literal["auto", "analytic", "numeric", "bisection"]
+
+
+def _check_method(method) -> None:
+    """Reject a solve ``method`` that is not a :data:`Method`.
+
+    :func:`_tier_ladder` would read any unknown string as ``"numeric"``
+    and silently solve with it, so the entry points check first.
+    """
+    if method not in get_args(Method):
+        raise SpecificationError(
+            f"unknown method {method!r}; use one of "
+            f"{', '.join(map(repr, get_args(Method)))}")
 
 
 @dataclass(frozen=True)
@@ -438,9 +450,10 @@ def compute_radius(problem: RadiusProblem, *, method: Method = "auto",
         If the feature already violates its tolerance interval at the
         original point — there is no robust region to measure.
     SpecificationError
-        For ``method="analytic"`` on a mapping that is not structurally
-        affine.
+        For an unknown ``method``, or ``method="analytic"`` on a mapping
+        that is not structurally affine.
     """
+    _check_method(method)
     with span("radius.solve", method=method, dim=problem.origin.size) as sp:
         [result] = _cache_pass(
             [problem],
@@ -528,15 +541,22 @@ def compute_radii(problems: Sequence[RadiusProblem], *,
 
         **Cache-bypass contract**: on the service path the ``cache``
         argument (and any installed process-wide default cache) is
-        *neither consulted nor populated* — the service's worker pool
-        owns the caching story, and its cross-process cache entries do
-        not flow back into the caller's local :class:`RadiusCache`.  A
-        later in-process call with the same problems therefore starts
-        cold.  The bypass is observable: a ``cache.bypass`` event (with
-        the batch size) and a ``radius.cache_bypass`` metric are emitted
-        whenever a cache *would* have been consulted but the batch went
-        to the service instead.
+        *neither consulted nor populated* — the service's dispatcher
+        owns its own cache, and its entries do not flow back into the
+        caller's :class:`RadiusCache`.  A later in-process call with the
+        same problems therefore starts cold.  The bypass is observable:
+        a ``cache.bypass`` event (with the batch size) and a
+        ``radius.cache_bypass`` metric are emitted whenever a cache
+        *would* have been consulted but the batch went to the service
+        instead.
+
+    Raises
+    ------
+    SpecificationError
+        For an unknown ``method``, or ``method="analytic"`` on a mapping
+        that is not structurally affine.
     """
+    _check_method(method)
     stateful = isinstance(seed, np.random.Generator)
     if service is not None and not stateful:
         if resolve_cache(cache) is not None:

@@ -22,9 +22,8 @@ reuse across repeated radius evaluations at nearby operating points.
   reach a seeded solver: those are keyed on a ``deterministic`` marker
   instead, so repeated ``validate_radius`` sweeps across seeds share one
   entry.  A :class:`~repro.resilience.cascade.SolverCascade` solve is
-  keyed under its own ``cascade:<config>`` method token, so it never
-  shares an entry with a plain solve or with a differently configured
-  cascade.
+  never cached: the cascade draws a fresh stream on every call, so no
+  key can make a stored answer equal a fresh one.
 
 Mappings without a stable structure key (arbitrary callables) and — for
 seed-dependent solves only — stateful :class:`numpy.random.Generator`
@@ -131,8 +130,8 @@ class RadiusCache:
         with a fixed marker, so every seed shares their entries — no
         randomness is ever drawn for them.  ``method`` is hashed as
         given: besides the solver methods it may be any other token
-        naming how the radius is solved (a cascade solve passes
-        ``cascade:<config>``), and such a token is always seed-keyed.
+        naming how the radius is solved, and such a token is always
+        seed-keyed.
 
         Raises :class:`~repro.exceptions.SpecificationError` for
         ``method="analytic"`` on a mapping that is not structurally

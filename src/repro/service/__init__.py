@@ -1,4 +1,4 @@
-"""Radius-as-a-service: persistent pool, shared-memory dispatch, shared cache.
+"""Radius-as-a-service: persistent pool, coalescing, shared-memory dispatch.
 
 The serving layer over the solver stack (see :mod:`repro.service.service`
 for the architecture, and ``docs/SERVICE.md`` for the operator view)::

@@ -1,5 +1,13 @@
 """A radius cache shared across processes, so clients warm each other.
 
+:class:`~repro.service.RadiusService` no longer uses this class on its
+own: its dispatcher runs every cache pass and owns a plain
+:class:`~repro.parallel.cache.RadiusCache`, so one service's clients
+already share entries without a manager round trip per lookup.  A
+deployment that wants several *service processes* to share entries can
+still pass an instance as ``ServiceConfig(cache=SharedRadiusCache())``;
+the dispatcher then reads and writes it like any other cache.
+
 :class:`~repro.parallel.cache.RadiusCache` is process-local: every worker
 builds its own, and a solve cached by one client is invisible to the
 next.  :class:`SharedRadiusCache` keeps the exact same fingerprinting
@@ -7,9 +15,8 @@ next.  :class:`SharedRadiusCache` keeps the exact same fingerprinting
 a problem hits the shared store under precisely the key it would hit a
 local cache under) but backs the entry store with a
 :class:`multiprocessing.managers.SyncManager` dict.  The cache object —
-manager proxies included — pickles into worker tasks, so a solve
-performed by worker A is served from cache to worker B, to the service
-frontend, and to every later request.
+manager proxies included — pickles into worker tasks, so a solve stored
+by one process is served from cache to every other holder of the store.
 
 Cached results are bit-identical to fresh solves (the library's cache
 contract), so sharing them across processes is a pure wall-clock
@@ -20,10 +27,6 @@ stay *per client*: each process counts its own traffic), a
 :class:`SharedRadiusCache` counts ``warm_hits`` — hits served from an
 entry that some *other* client stored.  That is the number a serving
 deployment cares about: how often did concurrent clients warm each other.
-
-When serving is off there is nothing to share; use a plain
-:class:`~repro.parallel.cache.RadiusCache` (the service's
-``cache="auto"`` default does exactly this for serial configurations).
 """
 
 from __future__ import annotations

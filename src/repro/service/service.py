@@ -18,36 +18,43 @@ is the *service-shaped* alternative:
   (:class:`~repro.exceptions.ServiceOverloadError`) when the queue stays
   full, with the breaker's deterministic event-counted cooldown deciding
   when to probe again;
-* shared-memory dispatch — each request's cache-missing problems are
-  published **once** into :class:`~repro.service.shm.SharedProblemBatch`
-  blocks and tasks carry only indices, so workers stop unpickling whole
+* coalescing — whenever the dispatcher frees up it takes every request
+  already queued and solves those sharing a ``method`` and seed as one
+  batch: one cache pass, one structural grouping of the misses, one
+  shared-memory publication and one supervised task per group, with the
+  results scattered back to each ticket in order;
+* shared-memory dispatch — a batch's cache-missing problems are
+  published **once** into a :class:`~repro.service.shm.SharedProblemBatch`
+  block and tasks carry only indices, so workers stop unpickling whole
   problems;
-* a cross-process :class:`~repro.service.cache.SharedRadiusCache` —
-  solves performed by any worker for any client warm every other client.
+* a dispatcher-owned :class:`~repro.parallel.cache.RadiusCache` — every
+  cache pass runs on the one dispatcher thread, so all clients of a
+  service share one plain in-process cache.
 
 Determinism contract: for a fixed stateless seed, :meth:`compute` returns
 results **bit-identical** to :func:`repro.core.radius.compute_radii` on
 the in-process library path, for any worker count, with tracing on or off
-(``tests/service/test_identity.py`` proves it).  A stateful
+and however requests are coalesced (``tests/service/test_identity.py``
+and ``tests/service/test_coalescing.py`` prove it).  A stateful
 :class:`numpy.random.Generator` seed is rejected at :meth:`submit`: group
 tasks in worker processes cannot draw from the caller's stream in problem
-order.  Requests are processed strictly in admission order by one
-dispatcher thread, so a fixed request sequence yields a replayable
-execution.
+order.  One dispatcher thread takes requests in admission order, so a
+fixed request sequence yields a replayable execution.
 
 Observability: ``service.queue_depth`` / ``service.inflight`` /
 ``service.shm_bytes`` gauges, ``service.admit`` / ``service.shed`` /
-``service.done`` events, a ``service.request`` span per request (worker
-spans are absorbed into it by the supervised executor, exactly like the
-library fan-out path).
+``service.done`` events, a ``service.flush`` span per batch (its cache
+pass, publication and supervised run; worker spans are absorbed into it,
+exactly like the library fan-out path), and under it one zero-length
+``service.request`` span per request, opened as its batch starts.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-import queue
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -56,6 +63,8 @@ import numpy as np
 from repro.core.radius import (
     RadiusProblem,
     RadiusResult,
+    _cache_pass,
+    _check_method,
     _solver_structure,
 )
 from repro.core.solvers.tensor import solve_group
@@ -74,7 +83,6 @@ from repro.resilience.supervisor import (
     SupervisorConfig,
     resolve_task_failures,
 )
-from repro.service.cache import SharedRadiusCache
 from repro.service.shm import BatchDescriptor, SharedProblemBatch, attach_batch
 
 __all__ = ["ServiceConfig", "RadiusTicket", "RadiusService"]
@@ -89,17 +97,15 @@ class ServiceConfig:
     Attributes
     ----------
     queue_limit:
-        Maximum requests waiting for the dispatcher (in-flight request
-        excluded).  A full queue sheds new submissions with
+        Maximum requests waiting for the dispatcher (the batch it is
+        solving excluded).  A full queue sheds new submissions with
         :class:`~repro.exceptions.ServiceOverloadError`.
     cache:
-        ``"shared"`` (default) builds a
-        :class:`~repro.service.cache.SharedRadiusCache` so concurrent
-        clients warm each other; ``"local"`` uses a plain in-process
-        :class:`~repro.parallel.cache.RadiusCache` (the fallback when
-        cross-process serving is off, e.g. ``workers=1`` deployments
-        that do not want a manager process); ``False`` disables caching;
-        a cache instance is used as-is (the caller owns its lifetime).
+        ``"local"`` (default) gives the dispatcher its own in-process
+        :class:`~repro.parallel.cache.RadiusCache`, shared by every
+        client of the service; ``False`` disables caching; a
+        :class:`~repro.parallel.cache.RadiusCache` instance is used
+        as-is (the caller owns its lifetime).
     cache_entries:
         Size bound for a cache the service builds itself.
     supervisor:
@@ -110,13 +116,13 @@ class ServiceConfig:
         breaker: its failures are full-queue sheds, and its open-state
         cooldown counts later shed attempts before re-probing the queue.
     use_shm:
-        Publish each request's problems through shared memory (default).
+        Publish each batch's problems through shared memory (default).
         ``False`` falls back to pickling problems into tasks — same
         results, useful to quantify what shm dispatch buys.
     """
 
     queue_limit: int = 32
-    cache: object = "shared"
+    cache: object = "local"
     cache_entries: int | None = None
     supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
     admission: BreakerConfig = field(
@@ -128,11 +134,11 @@ class ServiceConfig:
         if self.queue_limit < 1:
             raise SpecificationError(
                 f"queue_limit must be >= 1, got {self.queue_limit}")
-        if isinstance(self.cache, str) and self.cache not in ("shared",
-                                                              "local"):
+        if not (isinstance(self.cache, RadiusCache) or self.cache == "local"
+                or self.cache is False or self.cache is None):
             raise SpecificationError(
-                f"cache must be 'shared', 'local', False or a RadiusCache "
-                f"instance, got {self.cache!r}")
+                f"cache must be 'local', False or a RadiusCache instance, "
+                f"got {self.cache!r}")
 
 
 class RadiusTicket:
@@ -192,31 +198,27 @@ class _Request:
 
 
 def _solve_group_shm(descriptor: BatchDescriptor, indices: list[int],
-                     method: str, seed, cache) -> list[RadiusResult]:
+                     method: str, seed) -> list[RadiusResult]:
     """Picklable worker body: solve a structural group out of a shm batch.
 
     The task carries a few-dozen-byte descriptor plus indices instead of
     pickled problems; the batch is attached and header-decoded once per
-    worker process (:func:`~repro.service.shm.attach_batch`).  ``cache``
-    is the service's :class:`~repro.service.cache.SharedRadiusCache`
-    proxy (workers consult and populate the shared store directly) or
-    ``None`` for cache-off solving — the frontend then stores results.
+    worker process (:func:`~repro.service.shm.attach_batch`).  The
+    dispatcher's cache pass already ran, so the worker solves uncached.
     """
     batch = attach_batch(descriptor)
     return solve_group([batch.problem(i) for i in indices], method=method,
-                       seed=seed,
-                       cache=cache if cache is not None else False)
+                       seed=seed, cache=False)
 
 
 def _solve_group_pickled(problems: list[RadiusProblem], method: str,
-                         seed, cache) -> list[RadiusResult]:
+                         seed) -> list[RadiusResult]:
     """Worker body for ``use_shm=False``: problems pickled into the task."""
-    return solve_group(problems, method=method, seed=seed,
-                       cache=cache if cache is not None else False)
+    return solve_group(problems, method=method, seed=seed, cache=False)
 
 
 class RadiusService:
-    """Long-lived radius server: persistent pool, shm dispatch, shared cache.
+    """Long-lived radius server: persistent pool, coalescing, shm dispatch.
 
     Parameters
     ----------
@@ -231,13 +233,12 @@ class RadiusService:
         results never depend on it).
 
     Use as a context manager (or call :meth:`close`): shutdown drains
-    already-admitted requests, stops the dispatcher, closes the pool and
-    the owned cache, and unlinks any shared-memory batch the dispatcher
-    had in flight.
+    already-admitted requests, stops the dispatcher and closes the pool;
+    every shared-memory batch is unlinked as soon as its solve returns.
 
     Thread safety: :meth:`submit`, :meth:`gather` and :meth:`compute`
-    may be called from any number of client threads concurrently;
-    requests are processed strictly in admission order.
+    may be called from any number of client threads concurrently; the
+    dispatcher takes requests in admission order.
     """
 
     def __init__(self, workers: int = 1, *,
@@ -250,10 +251,13 @@ class RadiusService:
         self.executor = SupervisedExecutor(
             workers, config=self.config.supervisor, seed=seed)
         self.admission = CircuitBreaker(self.config.admission)
-        self._queue: queue.Queue[_Request | None] = queue.Queue(
-            maxsize=self.config.queue_limit)
-        self._ids = itertools.count(1)
+        # Admitted requests.  The dispatcher drains the whole deque under
+        # the lock ``submit`` holds, so a request is either in a batch or
+        # still queued.
+        self._queue: deque[_Request] = deque()
         self._lock = threading.Lock()
+        self._wakeup = threading.Condition(self._lock)
+        self._ids = itertools.count(1)
         self._closed = False
         #: Requests admitted / shed / completed / failed over the lifetime.
         self.admitted = 0
@@ -261,22 +265,11 @@ class RadiusService:
         self.completed = 0
         self.failed = 0
 
-        cache_spec = self.config.cache
-        self._owns_cache = isinstance(cache_spec, str)
-        if cache_spec == "shared":
-            self.cache: RadiusCache | None = SharedRadiusCache(
-                self.config.cache_entries)
-        elif cache_spec == "local":
-            self.cache = RadiusCache(self.config.cache_entries)
-        elif cache_spec is False or cache_spec is None:
-            self.cache = None
-            self._owns_cache = False
-        elif isinstance(cache_spec, RadiusCache):
-            self.cache = cache_spec
-        else:
-            raise SpecificationError(
-                f"config.cache must be 'shared', 'local', False or a "
-                f"RadiusCache instance, got {cache_spec!r}")
+        cache = self.config.cache
+        #: The dispatcher's cache (``None`` when caching is off).
+        self.cache: RadiusCache | None = (
+            RadiusCache(self.config.cache_entries) if cache == "local"
+            else cache if isinstance(cache, RadiusCache) else None)
 
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-radius-dispatcher",
@@ -284,8 +277,8 @@ class RadiusService:
         self._dispatcher.start()
         logger.info("radius service up: workers=%d queue_limit=%d cache=%s "
                     "shm=%s", workers, self.config.queue_limit,
-                    type(self.cache).__name__ if self.cache else "off",
-                    self.config.use_shm)
+                    type(self.cache).__name__ if self.cache is not None
+                    else "off", self.config.use_shm)
 
     # ------------------------------------------------------------------
     # frontend
@@ -303,14 +296,16 @@ class RadiusService:
         ServiceClosedError
             When the service has been closed.
         SpecificationError
-            For an empty request, a non-problem, or a stateful
-            :class:`numpy.random.Generator` seed (every group task would
-            restart from the caller's stream position); pass an integer
-            seed, or let ``compute_radii`` solve it in-process.
+            For an empty request, a non-problem, an unknown ``method``,
+            or a stateful :class:`numpy.random.Generator` seed (every
+            group task would restart from the caller's stream position);
+            pass an integer seed, or let ``compute_radii`` solve it
+            in-process.
         """
         problems = list(problems)
         if not problems:
             raise SpecificationError("cannot submit an empty request")
+        _check_method(method)
         if isinstance(seed, np.random.Generator):
             raise SpecificationError(
                 "the service cannot draw from a stateful Generator seed in "
@@ -330,18 +325,17 @@ class RadiusService:
                 # half-open and the next request probes the queue again.
                 self.admission.record_serial_execution(1)
                 return self._shed(len(problems), "admission breaker open")
-            ticket = RadiusTicket(next(self._ids), len(problems))
-            request = _Request(ticket, problems, method, seed)
-            try:
-                self._queue.put_nowait(request)
-            except queue.Full:
+            if len(self._queue) >= self.config.queue_limit:
                 self.admission.record_pool_failure()
                 return self._shed(len(problems), "request queue full")
+            ticket = RadiusTicket(next(self._ids), len(problems))
+            self._queue.append(_Request(ticket, problems, method, seed))
+            self._wakeup.notify()
             self.admission.record_pool_success()
             self.admitted += 1
             get_metrics().inc("service.requests")
             get_metrics().set_gauge("service.queue_depth",
-                                    float(self._queue.qsize()))
+                                    float(len(self._queue)))
             emit_event("service.admit", request=ticket.request_id,
                        problems=len(problems))
             return ticket
@@ -377,92 +371,132 @@ class RadiusService:
     # ------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
         while True:
-            request = self._queue.get()
-            if request is None:  # shutdown sentinel
-                break
-            get_metrics().set_gauge("service.queue_depth",
-                                    float(self._queue.qsize()))
-            get_metrics().set_gauge("service.inflight", 1.0)
+            with self._wakeup:
+                while not self._queue and not self._closed:
+                    self._wakeup.wait()
+                if not self._queue:  # closed, and every request served
+                    return
+                requests = list(self._queue)
+                self._queue.clear()
+                get_metrics().set_gauge("service.queue_depth", 0.0)
+            get_metrics().set_gauge("service.inflight", float(len(requests)))
             try:
-                self._process(request)
+                self._serve(requests)
             finally:
                 get_metrics().set_gauge("service.inflight", 0.0)
 
-    def _process(self, request: _Request) -> None:
-        ticket = request.ticket
-        with span("service.request", request=ticket.request_id,
-                  problems=ticket.n_problems) as sp:
-            try:
-                results = self._solve(request.problems, request.method,
-                                      request.seed, sp)
-            except BaseException as exc:
-                self.failed += 1
-                get_metrics().inc("service.failures")
-                emit_event("service.error", request=ticket.request_id,
-                           error=f"{type(exc).__name__}: {exc}")
-                logger.exception("request %d failed", ticket.request_id)
-                ticket._reject(exc)
-                return
+    def _serve(self, requests: list[_Request]) -> None:
+        """Solve drained requests as one batch per ``method`` and seed.
+
+        The seed is compared by the token the cache key hashes
+        (``repr(seed)``), so requests merge exactly when they would share
+        cache entries.  Batches run in the order of their first request.
+        """
+        batches: dict[tuple[str, str], list[_Request]] = {}
+        for request in requests:
+            batches.setdefault((request.method, repr(request.seed)),
+                               []).append(request)
+        for batch in batches.values():
+            self._flush(batch)
+
+    def _flush(self, batch: list[_Request]) -> None:
+        """Solve one batch and resolve its tickets in order.
+
+        A batch that raises is re-solved one request at a time, so an
+        error reaches only its own ticket.
+        """
+        method, seed = batch[0].method, batch[0].seed
+        problems = [p for request in batch for p in request.problems]
+        with span("service.flush", requests=len(batch),
+                  problems=len(problems), hits=0, groups=0) as sp:
+            if sp is not None:
+                # Zero-length, so a request span's start is its time out
+                # of the queue.
+                for request in batch:
+                    with span("service.request",
+                              request=request.ticket.request_id,
+                              problems=request.ticket.n_problems,
+                              flush=sp.span_id):
+                        pass
+            solved = self._attempt(problems, method, seed, sp)
+            if not isinstance(solved, Exception):
+                results = iter(solved)
+                outcomes = [list(itertools.islice(results,
+                                                  r.ticket.n_problems))
+                            for r in batch]
+            elif len(batch) == 1:
+                outcomes = [solved]
+            else:
+                outcomes = [self._attempt(r.problems, method, seed, None)
+                            for r in batch]
+        for request, outcome in zip(batch, outcomes):
+            self._finish(request.ticket, outcome)
+
+    def _attempt(self, problems, method, seed, sp):
+        """:meth:`_solve`, returning its exception instead of raising:
+        the dispatcher must keep running, and the ticket re-raises it."""
+        try:
+            return self._solve(problems, method, seed, sp)
+        except Exception as exc:
+            return exc
+
+    def _finish(self, ticket: RadiusTicket, outcome) -> None:
+        if isinstance(outcome, Exception):
+            self.failed += 1
+            get_metrics().inc("service.failures")
+            emit_event("service.error", request=ticket.request_id,
+                       error=f"{type(outcome).__name__}: {outcome}")
+            logger.error("request %d failed", ticket.request_id,
+                         exc_info=outcome)
+            ticket._reject(outcome)
+            return
         self.completed += 1
         get_metrics().inc("service.completed")
         emit_event("service.done", request=ticket.request_id,
                    problems=ticket.n_problems)
-        ticket._resolve(results)
+        ticket._resolve(outcome)
 
     def _solve(self, problems: list[RadiusProblem], method: str, seed,
                sp) -> list[RadiusResult]:
-        """One request, mirroring :func:`~repro.core.radius.compute_radii`:
-        cache pass → structural grouping → grouped dispatch → ordered merge.
-        """
-        cache = self.cache
-        keys: list[str | None] = [None] * len(problems)
-        results: list[RadiusResult | None] = [None] * len(problems)
-        if cache is not None:
-            for i, problem in enumerate(problems):
-                keys[i] = cache.key(problem, method=method, seed=seed)
-                results[i] = cache.get(keys[i])
-        pending = [i for i, r in enumerate(results) if r is None]
-        if sp is not None:
-            sp.tags["hits"] = len(problems) - len(pending)
-        if not pending:
-            return results  # fully served from cache
+        """One batch through the library's cache pass: the misses are
+        grouped by solver structure, published once, and solved as one
+        supervised task per group."""
 
-        groups: dict[tuple, list[int]] = {}
-        for i in pending:
-            groups.setdefault(_solver_structure(problems[i], method),
-                              []).append(i)
-        # Workers talk to the shared store directly; a local cache cannot
-        # cross the process boundary, so the frontend stores for it after
-        # the gather.
-        shared = cache if isinstance(cache, SharedRadiusCache) else None
-
-        if self.config.use_shm:
-            # Position of problem i inside the published miss-batch.
-            position = {i: j for j, i in enumerate(pending)}
-            with SharedProblemBatch.publish(
-                    [problems[i] for i in pending]) as batch:
-                tasks = [Task(_solve_group_shm,
-                              (batch.descriptor,
-                               [position[i] for i in idxs],
-                               method, seed, shared))
+        def solve(misses: list[RadiusProblem]) -> list[RadiusResult]:
+            if sp is not None:
+                sp.tags["hits"] = len(problems) - len(misses)
+            if not misses:  # all hits: nothing to publish
+                return []
+            groups: dict[tuple, list[int]] = {}
+            for i, problem in enumerate(misses):
+                groups.setdefault(_solver_structure(problem, method),
+                                  []).append(i)
+            if sp is not None:
+                sp.tags["groups"] = len(groups)
+            if self.config.use_shm:
+                with SharedProblemBatch.publish(misses) as published:
+                    tasks = [Task(_solve_group_shm,
+                                  (published.descriptor, idxs, method, seed))
+                             for idxs in groups.values()]
+                    solved = resolve_task_failures(
+                        self.executor.run(tasks), tasks,
+                        executor=self.executor)
+            else:
+                tasks = [Task(_solve_group_pickled,
+                              ([misses[i] for i in idxs], method, seed))
                          for idxs in groups.values()]
                 solved = resolve_task_failures(
                     self.executor.run(tasks), tasks, executor=self.executor)
-        else:
-            tasks = [Task(_solve_group_pickled,
-                          ([problems[i] for i in idxs], method, seed,
-                           shared))
-                     for idxs in groups.values()]
-            solved = resolve_task_failures(
-                self.executor.run(tasks), tasks, executor=self.executor)
+            results: list[RadiusResult | None] = [None] * len(misses)
+            for idxs, group_results in zip(groups.values(), solved):
+                for i, result in zip(idxs, group_results):
+                    results[i] = result
+            return results
 
-        for idxs, group_results in zip(groups.values(), solved):
-            for i, result in zip(idxs, group_results):
-                results[i] = result
-        if cache is not None and shared is None:
-            for i in pending:
-                cache.put(keys[i], results[i])
-        return results
+        # False, not None: None would select the process-wide default.
+        return _cache_pass(problems, solve, method=method, seed=seed,
+                           cache=self.cache if self.cache is not None
+                           else False)
 
     # ------------------------------------------------------------------
     # lifecycle and diagnostics
@@ -474,7 +508,7 @@ class RadiusService:
 
     def queue_depth(self) -> int:
         """Requests currently waiting for the dispatcher."""
-        return self._queue.qsize()
+        return len(self._queue)
 
     def stats(self) -> dict:
         """JSON-safe service counters (plus executor/cache/breaker state)."""
@@ -483,7 +517,7 @@ class RadiusService:
             "shed": self.shed,
             "completed": self.completed,
             "failed": self.failed,
-            "queue_depth": self._queue.qsize(),
+            "queue_depth": self.queue_depth(),
             "queue_limit": self.config.queue_limit,
             "admission": self.admission.snapshot(),
             "executor": self.executor.stats(),
@@ -495,23 +529,22 @@ class RadiusService:
 
         New submissions are rejected immediately
         (:class:`~repro.exceptions.ServiceClosedError`); requests already
-        in the queue are still processed — their tickets resolve — before
-        the dispatcher stops, the pool closes, and the owned cache's
-        manager shuts down.
+        queued or in a batch are still solved — their tickets resolve —
+        before the dispatcher stops and the pool closes.
         """
         with self._lock:
             if self._closed:
                 return
+            # No request is admitted after this, so the dispatcher stops
+            # once the queue is empty.
             self._closed = True
-        self._queue.put(None)  # FIFO: lands after every admitted request
+            self._wakeup.notify()
         self._dispatcher.join(timeout)
         if self._dispatcher.is_alive():  # pragma: no cover - stuck solver
-            logger.warning("dispatcher still running after %s s; pool and "
-                           "cache are left open", timeout)
+            logger.warning("dispatcher still running after %s s; the pool "
+                           "is left open", timeout)
             return
         self.executor.close()
-        if self._owns_cache and isinstance(self.cache, SharedRadiusCache):
-            self.cache.close()
         logger.info("radius service closed: %d completed, %d shed",
                     self.completed, self.shed)
 
@@ -523,6 +556,6 @@ class RadiusService:
 
     def __repr__(self) -> str:
         return (f"RadiusService(workers={self.executor.workers}, "
-                f"queue={self._queue.qsize()}/{self.config.queue_limit}, "
+                f"queue={self.queue_depth()}/{self.config.queue_limit}, "
                 f"completed={self.completed}, shed={self.shed}, "
                 f"closed={self._closed})")

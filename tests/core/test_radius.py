@@ -12,7 +12,7 @@ from repro.core.mappings import (
     QuadraticMapping,
     ReweightedMapping,
 )
-from repro.core.radius import RadiusProblem, compute_radius
+from repro.core.radius import RadiusProblem, compute_radii, compute_radius
 from repro.exceptions import InfeasibleAllocationError, SpecificationError
 
 
@@ -74,6 +74,17 @@ class TestDispatch:
                     ToleranceBounds.upper(4.0))
         with pytest.raises(SpecificationError, match="affine"):
             compute_radius(p, method="analytic")
+
+    @pytest.mark.parametrize("method", ["anaytic", "Auto", "sampling", None])
+    def test_unknown_method_rejected(self, method):
+        # An unknown method used to fall through to the numeric tier and
+        # return a CONVERGED radius (1.3416 here) instead of an error.
+        p = problem(LinearMapping([1.0, 2.0]), np.zeros(2),
+                    ToleranceBounds.upper(3.0))
+        with pytest.raises(SpecificationError, match="unknown method"):
+            compute_radius(p, method=method)
+        with pytest.raises(SpecificationError, match="'bisection'"):
+            compute_radii([p, p], method=method, cache=False)
 
     def test_force_bisection(self):
         p = problem(LinearMapping([1.0, 0.0]), [0.0, 0.0],

@@ -4,7 +4,7 @@ The acceptance bar of the serving layer: for a fixed seed,
 :meth:`RadiusService.compute` is bit-identical to the in-process
 :func:`compute_radii` path — for any worker count, with tracing on or
 off, through shared-memory dispatch or pickled fallback, cold or served
-from the shared cache.  ``SolverAttempt.elapsed`` (wall-clock, outside
+from the dispatcher's cache.  ``SolverAttempt.elapsed`` (wall-clock, outside
 the determinism contract) is the only field neutralised before
 comparison.
 """
@@ -107,19 +107,21 @@ class TestServiceIdentity:
             got = service.compute(problems, seed=3)
         assert _canonical(got) == _canonical(want)
 
-    def test_shared_cache_pass_is_identical_and_warm(self):
+    def test_dispatcher_cache_pass_is_identical_and_warm(self):
         problems = _problems()
         want = compute_radii(problems, seed=11, cache=False)
-        with RadiusService(2, config=ServiceConfig(cache="shared")) as service:
+        with RadiusService(2) as service:
             cold = service.compute(problems, seed=11)
+            dispatched = service.executor.stats()["dispatched"]
             warm = service.compute(problems, seed=11)
+            assert service.executor.stats()["dispatched"] == dispatched
             stats = service.cache.stats()
         assert _canonical(cold) == _canonical(want)
         assert _canonical(warm) == _canonical(want)
-        assert stats["entries"] > 0
-        # warm-pass entries were stored by worker processes (other
-        # clients of the shared store), so the frontend's hits are warm
-        assert stats["warm_hits"] > 0
+        # the dispatcher's own cache served the whole second pass
+        assert stats["misses"] == len(problems)
+        assert stats["hits"] == len(problems)
+        assert stats["entries"] == len(problems)
 
     def test_many_requests_in_flight(self):
         problems = _problems()
