@@ -5,7 +5,7 @@ isotropic quadratic feature probed from 32 operating points) through the
 plain ``compute_radius`` loop and through
 :func:`~repro.core.solvers.tensor.solve_group`, asserting the
 bit-identity contract and the promised reduction in Python-level
-``value``/``value_many`` calls, then writes the stable
+``value`` and batched calls, then writes the stable
 ``repro-bench-radii-v1`` payload to
 ``benchmarks/results/BENCH_radii.json`` so the group-kernel speedup can
 be tracked across commits.  CI runs the same harness through

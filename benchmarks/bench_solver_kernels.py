@@ -3,7 +3,7 @@
 Solves the same 32-dim MaxMapping robustness problem through the scalar
 reference kernels and the batched ones (lock-step directional bisection,
 one-shot finite-difference stencil), asserting the bit-identity contract
-and the promised reduction in Python-level ``value``/``value_many``
+and the promised reduction in Python-level ``value`` and batched
 calls, then writes the stable ``repro-bench-solvers-v1`` payload to
 ``benchmarks/results/BENCH_solvers.json`` so kernel speedups can be
 tracked across commits.  CI runs the same harness through

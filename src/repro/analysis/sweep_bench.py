@@ -4,7 +4,7 @@
 over a makespan max-feature twice — once solving every operating point
 from scratch (the pre-curve behaviour), once threading a single
 :class:`~repro.core.solvers.warm.WarmStart` through the walk — counting
-Python-level ``value``/``value_many`` calls through the same delegating
+Python-level ``value`` and batched calls through the same delegating
 wrapper the solver-kernel benchmark uses.  The payload carries wall-clock
 timings, the call counts, the reduction factor, warm-start hit counters,
 and a bit-identity verdict over every point's radius, boundary point, and

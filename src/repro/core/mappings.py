@@ -83,21 +83,22 @@ class FeatureMapping(abc.ABC):
     def value_many(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate ``f`` for a batch of row vectors (shape ``(m, n)``).
 
-        The base implementation loops; structured subclasses override with
-        a vectorised version (the Monte-Carlo validator calls this with
-        tens of thousands of rows).
+        The Monte-Carlo validator and the sampling solver call this with
+        tens of thousands of rows and need no row-exactness.  It is
+        :meth:`value_rows`, except where a subclass has a faster kernel
+        that may round differently per row (:class:`LinearMapping`'s
+        gemv).
         """
-        xs = as_2d_float_array(xs, name="xs")
-        return np.array([self.value(row) for row in xs], dtype=np.float64)
+        return self.value_rows(xs)
 
     def value_rows(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate ``f`` for a batch of rows, **row-exact**.
 
         Element ``i`` is bit-identical to ``value(xs[i])`` whatever the
-        batch shape — the contract :meth:`value_many` does not make (its
-        vectorised kernels may round differently per row).  The base
-        implementation loops over :meth:`value`; subclasses override it
-        only with a kernel that keeps the contract.
+        batch shape.  The solver kernels and the scenario replay evaluate
+        through it.  The base implementation loops over :meth:`value`;
+        subclasses override it only with a vectorised kernel that keeps
+        the contract.
         """
         xs = as_2d_float_array(xs, name="xs")
         return np.array([self.value(row) for row in xs], dtype=np.float64)
@@ -232,10 +233,14 @@ class QuadraticMapping(FeatureMapping):
         x = self._check_input(x)
         return float(x @ self.quadratic @ x + self.linear @ x) + self.constant
 
-    def value_many(self, xs: np.ndarray) -> np.ndarray:
+    def value_rows(self, xs: np.ndarray) -> np.ndarray:
+        # Stacked matmuls in ``value``'s operation order: one gemv and
+        # one dot per row, ``((x @ Q) @ x + k @ x) + c``.
         xs = self._check_input(as_2d_float_array(xs, name="xs"))
-        quad = np.einsum("ij,jk,ik->i", xs, self.quadratic, xs)
-        return quad + xs @ self.linear + self.constant
+        rows = xs[:, None, :]
+        quad = np.matmul(np.matmul(rows, self.quadratic), xs[:, :, None])
+        lin = np.matmul(rows, self.linear[:, None])
+        return (quad + lin)[:, 0, 0] + self.constant
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = self._check_input(x)
@@ -289,7 +294,8 @@ class ProductMapping(FeatureMapping):
         self._check_positive(x)
         return self.coefficient * float(np.prod(x ** self.powers))
 
-    def value_many(self, xs: np.ndarray) -> np.ndarray:
+    def value_rows(self, xs: np.ndarray) -> np.ndarray:
+        # Elementwise powers and one product per row, as in ``value``.
         xs = self._check_input(as_2d_float_array(xs, name="xs"))
         self._check_positive(xs)
         return self.coefficient * np.prod(xs ** self.powers, axis=1)
@@ -391,10 +397,14 @@ class MaxMapping(FeatureMapping):
         x = self._check_input(x)
         return max(comp.value(x) for comp in self.components)
 
-    def value_many(self, xs: np.ndarray) -> np.ndarray:
+    def value_rows(self, xs: np.ndarray) -> np.ndarray:
+        # Python ``max``'s fold, NaN included (``np.max`` propagates NaN).
         xs = self._check_input(as_2d_float_array(xs, name="xs"))
-        vals = np.stack([comp.value_many(xs) for comp in self.components])
-        return vals.max(axis=0)
+        acc = self.components[0].value_rows(xs)
+        for comp in self.components[1:]:
+            v = comp.value_rows(xs)
+            acc = np.where(v > acc, v, acc)
+        return acc
 
     def argmax_component(self, x: np.ndarray) -> int:
         """Index of the component attaining the maximum at ``x``."""
@@ -456,12 +466,21 @@ class SumMapping(FeatureMapping):
         self.components = components
 
     def value(self, x: np.ndarray) -> float:
+        # A plain left fold, not ``sum()``: from Python 3.12 ``sum()``
+        # compensates float rounding, which no array fold reproduces.
         x = self._check_input(x)
-        return float(sum(comp.value(x) for comp in self.components))
+        total = 0
+        for comp in self.components:
+            total = total + comp.value(x)
+        return float(total)
 
-    def value_many(self, xs: np.ndarray) -> np.ndarray:
+    def value_rows(self, xs: np.ndarray) -> np.ndarray:
+        # ``value``'s left fold from integer zero, row by row.
         xs = self._check_input(as_2d_float_array(xs, name="xs"))
-        return np.sum([comp.value_many(xs) for comp in self.components], axis=0)
+        total = 0
+        for comp in self.components:
+            total = total + comp.value_rows(xs)
+        return total
 
     def gradient(self, x: np.ndarray) -> np.ndarray | None:
         grads = [comp.gradient(x) for comp in self.components]
@@ -537,8 +556,8 @@ class RestrictedMapping(FeatureMapping):
     def value(self, y: np.ndarray) -> float:
         return self.base.value(self.embed(y))
 
-    def value_many(self, ys: np.ndarray) -> np.ndarray:
-        return self.base.value_many(self.embed_many(ys))
+    def value_rows(self, ys: np.ndarray) -> np.ndarray:
+        return self.base.value_rows(self.embed_many(ys))
 
     def gradient(self, y: np.ndarray) -> np.ndarray | None:
         g = self.base.gradient(self.embed(y))
@@ -593,9 +612,9 @@ class ReweightedMapping(FeatureMapping):
         p = self._check_input(p)
         return self.base.value(p / self.alphas)
 
-    def value_many(self, ps: np.ndarray) -> np.ndarray:
+    def value_rows(self, ps: np.ndarray) -> np.ndarray:
         ps = self._check_input(as_2d_float_array(ps, name="ps"))
-        return self.base.value_many(ps / self.alphas)
+        return self.base.value_rows(ps / self.alphas)
 
     def gradient(self, p: np.ndarray) -> np.ndarray | None:
         p = self._check_input(p)

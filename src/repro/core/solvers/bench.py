@@ -3,8 +3,8 @@
 :func:`run_solver_kernel_benchmark` solves the same robustness problem —
 a directional bisection over a high-dimensional :class:`MaxMapping` —
 twice, once through the retained scalar reference loop and once through
-the lock-step batched kernel, counting Python-level ``value``/
-``value_many`` calls through a delegating wrapper.  A second section does
+the lock-step batched kernel, counting Python-level ``value`` and
+batched calls through a delegating wrapper.  A second section does
 the same for the finite-difference Jacobian (per-coordinate loop vs
 one-shot stencil).  The payload carries wall-clock timings, the call
 counts, the reduction factors, and a bit-identity verdict — the batched
@@ -49,36 +49,38 @@ logger = logging.getLogger(__name__)
 class CallCountingMapping(FeatureMapping):
     """Delegating wrapper counting Python-level evaluation calls.
 
-    Each ``value`` call and each ``value_many`` call counts as *one*
-    Python-level evaluation — that is exactly the unit the batched
-    kernels optimise (a ``value_many`` over ten thousand rows costs one
-    interpreter round-trip, not ten thousand).  ``rows`` additionally
-    tracks how many points flowed through ``value_many``.
+    Each ``value`` call and each batched call (``value_rows``, which
+    ``value_many`` also reaches) counts as *one* Python-level
+    evaluation — that is exactly the unit the batched kernels optimise
+    (a batch over ten thousand rows costs one interpreter round-trip,
+    not ten thousand).
+    ``rows`` additionally tracks how many points flowed through the
+    batched calls.
     """
 
     def __init__(self, inner: FeatureMapping) -> None:
         super().__init__(inner.n_inputs)
         self.inner = inner
         self.value_calls = 0
-        self.value_many_calls = 0
+        self.batch_calls = 0
         self.rows = 0
 
     @property
     def calls(self) -> int:
         """Total Python-level evaluation calls (scalar + batched)."""
-        return self.value_calls + self.value_many_calls
+        return self.value_calls + self.batch_calls
 
     def reset(self) -> None:
-        self.value_calls = self.value_many_calls = self.rows = 0
+        self.value_calls = self.batch_calls = self.rows = 0
 
     def value(self, x: np.ndarray) -> float:
         self.value_calls += 1
         return self.inner.value(x)
 
-    def value_many(self, xs: np.ndarray) -> np.ndarray:
-        self.value_many_calls += 1
+    def value_rows(self, xs: np.ndarray) -> np.ndarray:
+        self.batch_calls += 1
         self.rows += int(np.asarray(xs).shape[0])
-        return self.inner.value_many(xs)
+        return self.inner.value_rows(xs)
 
     def gradient(self, x: np.ndarray):
         return self.inner.gradient(x)
@@ -88,7 +90,7 @@ class CallCountingMapping(FeatureMapping):
 
     def __repr__(self) -> str:
         return (f"CallCountingMapping({self.inner!r}, value={self.value_calls}, "
-                f"value_many={self.value_many_calls})")
+                f"batched={self.batch_calls})")
 
 
 def _bench_bisection(dimension: int, directions: int, seed: int) -> dict:

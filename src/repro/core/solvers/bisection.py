@@ -17,15 +17,16 @@ Two equivalent kernels compute the crossings:
 * :func:`directional_crossing` — the scalar reference: one direction at a
   time, one ``mapping.value`` call per bracket-expansion step;
 * :func:`directional_crossings` — the batched kernel: every direction's
-  bracket advances in lock-step, one ``mapping.value_many`` call per
+  bracket advances in lock-step, one ``mapping.value_rows`` call per
   iteration over the still-active directions.
 
 The batched kernel only replaces *where* the bracket probes are evaluated
-(a vectorised batch instead of a Python loop); the probe parameters, the
-sign decisions they feed, and the final Brent refinement (always scalar
-``mapping.value`` calls) are the same arithmetic, so the two kernels
-return bit-identical crossings — a contract pinned by
-``tests/core/test_solver_kernels.py``.
+(a vectorised batch instead of a Python loop).  ``value_rows`` is
+row-exact — each row's float is ``mapping.value``'s — so the probe
+parameters, the sign decisions they feed, and the final Brent refinement
+(scalar ``mapping.value`` calls here; lock-step in the tensor kernel)
+are the same arithmetic, and the two kernels return bit-identical
+crossings — a contract pinned by ``tests/core/test_solver_kernels.py``.
 """
 
 from __future__ import annotations
@@ -157,9 +158,11 @@ def _batch_values(mapping: FeatureMapping,
                   points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate raw ``f`` for a batch of probe points.
 
-    Returns ``(values, in_domain)``.  The fast path is one
-    ``mapping.value_many`` call (counted in the ``solver.batch_evals``
-    metric).  A mapping with a restricted domain raises
+    Returns ``(values, in_domain)``.  The fast path is one row-exact
+    ``mapping.value_rows`` call (counted in the ``solver.batch_evals``
+    metric), so every caller — sign tests, ray tables, certificate
+    probes, lock-step Brent steps — sees ``mapping.value``'s float for
+    each row.  A mapping with a restricted domain raises
     :class:`SpecificationError` for the *whole* batch when any row has
     left it; the scalar kernel instead drops only the offending
     directions, so on such a failure the batch degrades to per-row
@@ -173,7 +176,7 @@ def _batch_values(mapping: FeatureMapping,
     the same floats.
     """
     try:
-        values = mapping.value_many(points)
+        values = mapping.value_rows(points)
     except SpecificationError:
         values = np.empty(points.shape[0])
         in_domain = np.ones(points.shape[0], dtype=bool)
@@ -206,7 +209,7 @@ def _directional_brackets(
     """Lock-step bracket expansion over rows of ``directions``.
 
     Each iteration evaluates the still-active directions' probe points
-    with a single ``mapping.value_many`` call, so the Python-level
+    with a single ``mapping.value_rows`` call, so the Python-level
     evaluation cost is ``O(iterations)`` instead of
     ``O(directions x iterations)``.  Returns ``(h0, brackets)`` where
     ``brackets`` holds one ``(row, t_lo, t_hi, h_hi)`` tuple per
@@ -488,7 +491,7 @@ def solve_bisection_radius(
     length in ``norm`` so crossing parameters are distances.
 
     ``batch=True`` (the default) advances every direction's bracket in
-    lock-step through :func:`directional_crossings` — one ``value_many``
+    lock-step through :func:`directional_crossings` — one ``value_rows``
     call per expansion step instead of one ``value`` call per direction
     per step.  ``batch=False`` keeps the scalar reference kernel; the two
     produce bit-identical results (pinned by

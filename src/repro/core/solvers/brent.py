@@ -4,7 +4,7 @@
 ``brentq`` C kernel (``scipy/optimize/Zeros/brentq.c``) generalised to a
 *rows* axis: every bracket advances one Brent step per iteration, and the
 step's single function evaluation happens for **all** still-active rows
-through one batched callback — one ``mapping.value_many`` round-trip per
+through one batched callback — one ``mapping.value_rows`` round-trip per
 iteration instead of one scalar ``mapping.value`` call per bracket per
 iteration.
 
@@ -16,15 +16,15 @@ truncation against ``min(|spre|, 3|sbis| - delta)``, bisection fallback,
 ``delta``-clamped advance), so on the NumPy backend each row's iterates —
 and therefore its returned root — are bit-identical to calling
 ``scipy.optimize.brentq`` on that bracket, *provided the batched
-evaluation callback returns the same floats as the scalar ``h``*.  That
-proviso does **not** hold in general — ``value_many`` is not row-stable
-across batch shapes (BLAS blocking makes a row's float depend on its
-batchmates) — so consumers must treat batched roots as *locators* for
-candidate selection and re-pin every returned crossing through the
-scalar reference kernel (see :mod:`repro.core.solvers.tensor`).  The
-port itself is pinned against SciPy across mapping families and random
-brackets by ``tests/core/test_batched_brent.py`` using shape-stable
-callbacks.
+evaluation callback returns the same floats as the scalar ``h``*.  The
+solver kernels meet that proviso by evaluating through the row-exact
+``FeatureMapping.value_rows`` (``LinearMapping.value_many``'s gemv
+does not promise it: it may round a row differently from ``value``), so
+the tensor kernel returns the batched roots as results (see
+:mod:`repro.core.solvers.tensor`).  The port itself is pinned against
+SciPy across mapping families and random brackets by
+``tests/core/test_batched_brent.py``, and the kernel's roots by
+``tests/core/test_tensor_roots.py``.
 
 Rows whose bracket violates the sign precondition or fails to converge
 within ``maxiter`` come back flagged instead of raising — the caller
@@ -174,7 +174,8 @@ def batched_brentq(
         xcur = xcur + step
         fcur = np.asarray(evaluate(xcur, idx), dtype=np.float64)
 
-    # maxiter exhausted: SciPy raises; flag instead, caller re-pins.
+    # maxiter exhausted: SciPy raises; flag instead, the caller re-runs
+    # the row through scipy.
     roots[idx] = xcur
     ok[idx] = False
     return roots, ok

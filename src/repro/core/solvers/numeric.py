@@ -54,17 +54,15 @@ def _finite_diff_gradient(mapping: FeatureMapping, x: np.ndarray,
     """Central finite-difference gradient, used when no analytic one exists.
 
     The full ``2n``-point central-difference stencil is built as one
-    matrix and evaluated with a single ``mapping.value_many`` call.  This
-    path only runs for mappings *without* an analytic gradient — exactly
-    the mappings (arbitrary callables and compositions over them) whose
-    ``value_many`` is the base per-row loop — so each stencil value is
-    computed by the same ``mapping.value`` arithmetic as the scalar
-    reference and the gradient is bit-identical to it.
+    matrix and evaluated with a single row-exact ``mapping.value_rows``
+    call, so each stencil value is ``mapping.value``'s float and the
+    gradient is bit-identical to the scalar reference — also for
+    compositions that mix a callable with vectorised components.
     """
     n = x.size
     h = eps * np.maximum(1.0, np.abs(x))
     stencil = np.vstack([x + np.diag(h), x - np.diag(h)])
-    values = mapping.value_many(stencil)
+    values = mapping.value_rows(stencil)
     get_metrics().inc("solver.batch_evals")
     get_metrics().inc("solver.batch_points", 2 * n)
     return (values[:n] - values[n:]) / (2.0 * h)

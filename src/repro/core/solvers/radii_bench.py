@@ -5,7 +5,7 @@ problems — the same near-isotropic quadratic feature probed from many
 different operating points — and solves it twice: once through a plain
 ``compute_radius`` loop (the per-problem reference) and once through
 :func:`~repro.core.solvers.tensor.solve_group` (the cross-problem tensor
-kernel), counting Python-level ``value``/``value_many`` calls through one
+kernel), counting Python-level ``value`` and batched calls through one
 shared :class:`~repro.core.solvers.bench.CallCountingMapping`.
 
 The geometry is chosen to be the scalar scan's worst case and the common
@@ -13,12 +13,11 @@ FePIA case at once: the quadratic's level sets are *nearly* spherical, so
 every direction's crossing lands in the same 4x bracket rung and the
 per-problem pruned scan can prune nothing — it Brent-refines every
 bracket of every problem.  The tensor kernel instead refines all brackets
-of all problems in lock-step (one ``value_many`` per iteration), prunes
-to each problem's winning candidate, and re-pins only those through the
-scalar reference kernel, so its advantage is the full ``O(directions)``
-factor.  The weights are still anisotropic enough (~10% spread) that the
-batched roots separate far beyond ``PIN_TOL`` and candidate sets stay at
-one or two rows.
+of all problems in lock-step (one ``value_rows`` per iteration) and
+takes each problem's winner straight from the batched roots, so its
+advantage is the full ``O(problems x directions)`` factor.  The weights
+are still anisotropic enough (~10% spread) that the crossings are not
+all tied.
 
 Emits a ``repro-bench-radii-v1`` payload; like every bench schema it is
 validated by :func:`repro.parallel.bench.validate_bench_payload` (the

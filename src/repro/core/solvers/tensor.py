@@ -12,56 +12,50 @@ the whole group advances as one kernel:
 * **Lock-step expansion over a problems axis.**  Every still-active
   ``(problem, bound, direction)`` ray advances one rung per iteration and
   all surviving rays' probe points are evaluated with a single
-  ``mapping.value_many`` call over the flattened point tensor — one
+  ``mapping.value_rows`` call over the flattened point tensor — one
   Python-level evaluation per *iteration* instead of one per problem per
   iteration.  The probe parameters are the scalar kernel's exact decision
   grid (``t_1 = min(t_init, t_stop)``, ``t_{k+1} = min(4 t_k, t_stop)``
   with per-problem box exits), so the located bracket endpoints are the
   scalar path's floats.
 
-* **Batched Brent refinement with cross-problem pruning.**  All surviving
-  brackets refine in lock-step through
-  :func:`~repro.core.solvers.brent.batched_brentq`.  Brackets that cannot
-  contain their problem's winning crossing are pruned before refinement
-  (their lower end exceeds the problem's smallest bracket top), and the
-  batched roots prune the rest: only the candidates within ``PIN_TOL`` of
-  each problem's smallest root survive.
+* **Exact pruning, then batched Brent refinement.**  A bracket whose
+  lower end exceeds its unit's smallest bracket top cannot hold the
+  winning crossing and is dropped; all survivors refine in lock-step
+  through :func:`~repro.core.solvers.brent.batched_brentq`.
 
-* **Scalar re-pinning of the winners.**  ``value_many`` is *not*
-  row-stable across batch shapes (BLAS blocking makes a row's value
-  depend on how many other rows share the call), so batched floats are
-  never returned: every surviving candidate is re-refined by
-  :func:`~repro.core.solvers.bisection._refine_bracket` — the same scalar
-  ``brentq`` call on the same bracket the per-problem path makes — and
-  the winner is the lexicographic ``(t, row)`` minimum over them, exactly
-  the scalar pruned scan's answer.  Batched evaluations only feed *sign
-  decisions* and *candidate selection*, which is the standing contract of
-  the per-problem batched kernel as well.
+* **Roots are results.**  ``value_rows`` is row-exact — each row's float
+  is ``mapping.value``'s whatever the batch shape — and ``batched_brentq``
+  is a float-for-float port of SciPy's ``brentq``, so every batched root
+  *is* the scalar reference's float.  Each unit's winner is the
+  lexicographic ``(t, row)`` minimum over its roots, exactly the scalar
+  pruned scan's answer.  Only rows the batched kernel flags (``ok=False``)
+  re-run through the scalar
+  :func:`~repro.core.solvers.bisection._refine_bracket`, which raises as
+  SciPy does.
 
-The numeric tier shares the expansion (its crossing seeds all come from
-one flattened tensor) but re-pins **every** bracket: the crossings seed
-the SLSQP multistart, so each must be the scalar reference float, not a
-locator.
+The numeric tier shares the expansion and the refinement: its SLSQP seed
+crossings are the same batched roots.
 
 Eval accounting (see ``PERFORMANCE.md``): for ``P`` problems, ``E``
 expansion rungs and ``R`` refined brackets per problem (``~I`` scalar
 calls per Brent refinement), the per-problem loop spends
 ``P * (1 + E + R*I)`` Python-level evaluation calls; the tensor spends
-``E' + I' + P * (c*I)`` with ``E' ~ E`` union rungs, ``I' ~ I`` lock-step
-refinement rounds and ``c`` candidates per problem (typically 1).  When
-crossing distances cluster (isotropic level sets — the common FePIA
-geometry) the scalar scan cannot prune (``R ~`` all directions) and the
-tensor's advantage is ``O(R)``.
+``E' + 1 + I'`` with ``E' ~ E`` union rungs, one batched round at the
+bracket bottoms and ``I' ~ I`` lock-step refinement rounds — independent
+of ``P`` and ``R``.  When crossing distances cluster (isotropic level
+sets — the common FePIA geometry) the scalar scan cannot prune
+(``R ~`` all directions) and the tensor's advantage is ``O(P * R)``.
 
 Results are bit-identical to :func:`~repro.core.radius.compute_radius`
 per problem — radius, boundary point, per-bound table, quality,
-diagnostics trail — pinned by ``tests/core/test_tensor_identity.py``.
+diagnostics trail — pinned by ``tests/core/test_tensor_identity.py``;
+``tests/core/test_tensor_roots.py`` pins each batched root against SciPy.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -92,13 +86,6 @@ from repro.utils.rng import default_rng
 __all__ = ["ProblemTensor", "solve_problem_tensor", "solve_group"]
 
 logger = logging.getLogger(__name__)
-
-#: Relative tolerance under which batched crossings count as tied with the
-#: smallest one: every bracket within it is re-pinned through the scalar
-#: reference kernel before the winner is chosen.  It dwarfs both the Brent
-#: tolerance and any ``value_many`` row drift, mirroring the warm path's
-#: certificate guard margin.
-PIN_TOL = 1e-9
 
 # The directional solvers' fixed schedule (their keyword defaults); the
 # dispatcher in repro.core.radius never overrides these.
@@ -195,9 +182,10 @@ class ProblemTensor:
         """Split a batch into tensor groups and scalar leftovers.
 
         Returns ``[(indices, tensor_or_none), ...]`` in first-seen order:
-        ``tensor`` is a packed :class:`ProblemTensor` for groups of two
-        or more batchable problems, ``None`` for everything else (the
-        caller solves those through :func:`compute_radius`).
+        ``tensor`` is a packed :class:`ProblemTensor` for every group of
+        batchable problems, a group of one included; ``None`` marks a
+        problem on another tier (the caller solves those through
+        :func:`compute_radius`).
         """
         groups: dict = {}
         order: list = []
@@ -212,7 +200,7 @@ class ProblemTensor:
         out = []
         for key in order:
             idxs = groups[key]
-            if key[0] == "scalar" or len(idxs) < 2:
+            if key[0] == "scalar":
                 out.append((idxs, None))
             else:
                 out.append((idxs,
@@ -271,13 +259,13 @@ def _expand_units(mapping, origins, directions, units, h0s, t_stops):
     ``units`` lists ``(problem_index, bound_index, bound)`` rows; ``h0s``
     their scalar ``f(x0) - b`` values; ``t_stops`` their per-direction
     box exits.  Each iteration evaluates every still-active ray's probe
-    point — across *all* units — with one ``mapping.value_many`` call.
+    point — across *all* units — with one row-exact ``value_rows`` call.
     The probe grid and sign decisions per ray are exactly
     :func:`~repro.core.solvers.bisection._directional_brackets`'s, so the
     returned brackets carry the scalar kernel's endpoint floats.
 
-    Returns per-unit bracket lists ``{unit_index: [(row, lo, hi, h_hi),
-    ...]}`` sorted by ``(lo, row)`` like the scalar kernel's.
+    Returns the flat bracket arrays ``(unit, row, lo, hi, h_hi)``, one
+    entry per ray whose sign flipped, in no particular order.
     """
     m = directions.shape[0]
     n_units = len(units)
@@ -293,7 +281,8 @@ def _expand_units(mapping, origins, directions, units, h0s, t_stops):
     active = t_stop > 0.0
     t_lo = np.zeros(total)
     t_hi = np.minimum(_T_INIT, t_stop)
-    brackets: dict[int, list] = {u: [] for u in range(n_units)}
+    hits: list[np.ndarray] = [np.empty(0, dtype=np.intp)]
+    h_hits: list[np.ndarray] = [np.empty(0)]
     idx_all = np.arange(total)
     while np.any(active):
         rows = idx_all[active]
@@ -305,18 +294,29 @@ def _expand_units(mapping, origins, directions, units, h0s, t_stops):
         active[rows[~in_domain]] = False
         with np.errstate(invalid="ignore"):
             flipped = in_domain & (h0_of[rows] * h_hi <= 0.0)
-        for k, hv in zip(rows[flipped], h_hi[flipped]):
-            brackets[int(unit_of[k])].append(
-                (int(row_of[k]), float(t_lo[k]), float(t_hi[k]), float(hv)))
+        # A flipped ray stops here, so its t_lo/t_hi stay as they are.
+        hits.append(rows[flipped])
+        h_hits.append(h_hi[flipped])
         active[rows[flipped]] = False
         exhausted = active[rows] & (t_hi[rows] >= t_stop[rows])
         active[rows[exhausted]] = False
         still = idx_all[active]
         t_lo[still] = t_hi[still]
         t_hi[still] = np.minimum(4.0 * t_hi[still], t_stop[still])
-    for unit_brackets in brackets.values():
-        unit_brackets.sort(key=lambda b: (b[1], b[0]))
-    return brackets
+    ks = np.concatenate(hits)
+    return unit_of[ks], row_of[ks], t_lo[ks], t_hi[ks], np.concatenate(h_hits)
+
+
+def _bracket_arrays(per_unit):
+    """Flatten per-unit ``[(row, lo, hi, h_hi), ...]`` lists (the warm
+    ray table's output) into :func:`_expand_units`'s arrays."""
+    flat = [(u, *b) for u, brackets in enumerate(per_unit) for b in brackets]
+    if not flat:
+        return (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
+                np.empty(0), np.empty(0), np.empty(0))
+    unit, row, lo, hi, h_hi = zip(*flat)
+    return (np.asarray(unit, dtype=np.intp), np.asarray(row, dtype=np.intp),
+            np.asarray(lo), np.asarray(hi), np.asarray(h_hi))
 
 
 def _unit_t_stops(tensor, units, directions):
@@ -334,104 +334,83 @@ def _unit_t_stops(tensor, units, directions):
     return out
 
 
-# ---------------------------------------------------------------------------
-# bisection tier: batched refinement, candidate selection, scalar re-pin
+def _refine_brackets(tensor, units, h0s, directions, brackets):
+    """Brent roots of every flat bracket, each ``scipy.optimize.brentq``'s
+    float on that bracket.
 
-
-def _select_winners(tensor, units, brackets, directions, origins, h0s):
-    """Refine every unit's brackets in lock-step and return each unit's
-    winning ``(t, row)`` crossing (or ``None``), bit-identical to the
-    scalar pruned scan.
-
-    Three pruning layers cut the scalar work: brackets whose lower end
-    exceeds their unit's smallest bracket top cannot win and skip
-    refinement entirely; the batched Brent roots then discard everything
-    outside ``PIN_TOL`` of each unit's smallest root; the survivors — the
-    winner and any near-ties, plus rows the batched kernel could not
-    certify (``ok=False``) — are re-pinned through the scalar reference
-    kernel, and the lexicographic ``(t, row)`` minimum over those scalar
-    floats is returned.
+    All brackets refine in lock-step through :func:`batched_brentq`, whose
+    evaluations go through the row-exact :func:`_batch_values`, so each
+    root *is* the scalar reference's float.  Rows the batched kernel
+    flags (``ok=False``: no sign change, or ``maxiter`` exhausted) re-run
+    through the scalar :func:`_refine_bracket`, which raises exactly as
+    SciPy does.
     """
-    metrics = get_metrics()
-    flat: list[tuple[int, int, float, float, float]] = []
-    pruned = 0
-    for u, unit_brackets in brackets.items():
-        if not unit_brackets:
-            continue
-        top = min(b[2] for b in unit_brackets)
-        cutoff = top + PIN_TOL * (1.0 + top)
-        for row, lo, hi, h_hi in unit_brackets:
-            if lo > cutoff:
-                pruned += 1
-                continue
-            flat.append((u, row, lo, hi, h_hi))
-    winners: dict[int, tuple[float, int] | None] = {
-        u: None for u in brackets}
-    if not flat:
-        if pruned:
-            metrics.inc("solver.tensor_pruned", pruned)
-        return winners
-
-    unit_b = np.asarray([f[0] for f in flat], dtype=np.intp)
-    row_b = np.asarray([f[1] for f in flat], dtype=np.intp)
-    lo_b = np.asarray([f[2] for f in flat])
-    hi_b = np.asarray([f[3] for f in flat])
-    f_hi = np.asarray([f[4] for f in flat])
-    p_b = np.asarray([units[u][0] for u in unit_b], dtype=np.intp)
-    beta_b = np.asarray([units[u][2] for u in unit_b])
-    h0_b = np.asarray([h0s[u] for u in unit_b])
+    unit, row, lo, hi, f_hi = brackets
+    if unit.size == 0:
+        return np.empty(0)
+    mapping = tensor.problems[0].mapping
+    p_b = np.asarray([pi for pi, _, _ in units], dtype=np.intp)[unit]
+    beta_b = np.asarray([b for _, _, b in units], dtype=np.float64)[unit]
+    origins = tensor.origins
 
     def evaluate(ts, rows):
-        points = origins[p_b[rows]] + ts[:, None] * directions[row_b[rows]]
-        values, _ = _batch_values(tensor.problems[0].mapping, points)
+        points = origins[p_b[rows]] + ts[:, None] * directions[row[rows]]
+        values, _ = _batch_values(mapping, points)
         return values - beta_b[rows]
 
     # Endpoint values: the expansion's h_hi floats on top, and a fresh
     # batched round at the bottoms — except t=0 rows, whose value is the
-    # problem's scalar h0 (no drift where the exact float is free).
-    at_zero = lo_b == 0.0
-    f_lo = np.empty(lo_b.shape[0])
-    f_lo[at_zero] = h0_b[at_zero]
+    # problem's h0 (the float scalar brentq computes there).
+    at_zero = lo == 0.0
+    f_lo = np.empty(lo.shape[0])
+    f_lo[at_zero] = np.asarray(h0s, dtype=np.float64)[unit[at_zero]]
     inner = np.flatnonzero(~at_zero)
     if inner.size:
-        points = origins[p_b[inner]] \
-            + lo_b[inner, None] * directions[row_b[inner]]
-        values, _ = _batch_values(tensor.problems[0].mapping, points)
-        f_lo[inner] = values - beta_b[inner]
+        f_lo[inner] = evaluate(lo[inner], inner)
 
-    roots, ok = batched_brentq(evaluate, lo_b, hi_b, f_lo, f_hi, xtol=_XTOL)
-    metrics.inc("solver.tensor_refined", len(flat))
+    roots, ok = batched_brentq(evaluate, lo, hi, f_lo, f_hi, xtol=_XTOL)
+    get_metrics().inc("solver.tensor_refined", lo.shape[0])
+    for k in np.flatnonzero(~ok):
+        problem = tensor.problems[p_b[k]]
+        roots[k] = _refine_bracket(problem.mapping, problem.origin,
+                                   directions[row[k]], float(beta_b[k]),
+                                   float(lo[k]), float(hi[k]),
+                                   float(f_hi[k]), _XTOL)
+    return roots
 
-    by_unit: dict[int, list[int]] = {}
-    for k, u in enumerate(unit_b):
-        by_unit.setdefault(int(u), []).append(k)
-    repinned = 0
-    for u, ks in by_unit.items():
-        finite = [k for k in ks if ok[k] and math.isfinite(roots[k])]
-        if finite:
-            t_min = min(float(roots[k]) for k in finite)
-            slack = PIN_TOL * (1.0 + t_min)
-            cands = [k for k in ks
-                     if not ok[k] or float(roots[k]) <= t_min + slack]
-        else:
-            cands = list(ks)
-        pruned += len(ks) - len(cands)
-        problem = tensor.problems[units[u][0]]
-        bound = units[u][2]
-        best_t, best_row = np.inf, -1
-        for k in sorted(cands, key=lambda k: (float(lo_b[k]), int(row_b[k]))):
-            t = _refine_bracket(problem.mapping, problem.origin,
-                                directions[int(row_b[k])], bound,
-                                float(lo_b[k]), float(hi_b[k]),
-                                float(f_hi[k]), _XTOL)
-            if t < best_t or (t == best_t and int(row_b[k]) < best_row):
-                best_t, best_row = t, int(row_b[k])
-        repinned += len(cands)
-        winners[u] = (best_t, best_row)
+
+# ---------------------------------------------------------------------------
+# bisection tier: exact pruning, batched refinement, winners from the roots
+
+
+def _select_winners(tensor, units, brackets, directions, h0s):
+    """Each unit's winning ``(t, row)`` crossing (or ``None``),
+    bit-identical to the scalar pruned scan.
+
+    A bracket whose lower end exceeds its unit's smallest bracket top
+    cannot win — its root is at least ``lo``, beyond the root inside that
+    smallest bracket — and skips refinement.  The survivors refine in one
+    :func:`_refine_brackets` pass, and each unit's lexicographic
+    ``(t, row)`` minimum over those roots is the scalar scan's first
+    strict minimiser.
+    """
+    winners: list[tuple[float, int] | None] = [None] * len(units)
+    unit, row, lo, hi, _ = brackets
+    if unit.size == 0:
+        return winners
+    top = np.full(len(units), np.inf)
+    np.minimum.at(top, unit, hi)
+    keep = lo <= top[unit]
+    pruned = int(keep.size - np.count_nonzero(keep))
     if pruned:
-        metrics.inc("solver.tensor_pruned", pruned)
-    if repinned:
-        metrics.inc("solver.repinned_brackets", repinned)
+        get_metrics().inc("solver.tensor_pruned", pruned)
+    kept = tuple(a[keep] for a in brackets)
+    roots = _refine_brackets(tensor, units, h0s, directions, kept)
+    unit, row = kept[0], kept[1]
+    order = np.lexsort((row, roots, unit))
+    first = order[np.r_[True, unit[order[1:]] != unit[order[:-1]]]]
+    for k in first:
+        winners[unit[k]] = (float(roots[k]), int(row[k]))
     return winners
 
 
@@ -459,62 +438,52 @@ def _solve_bisection_units(tensor, units, value0s, seed, warm):
         if table.g0 is None:
             table.g0 = float(value0s[0])
     if table is not None:
-        brackets = {}
-        for u, ((pi, _, b), h0, t_stop) in enumerate(
-                zip(units, h0s, t_stops)):
+        per_unit = []
+        for (pi, _, b), h0, t_stop in zip(units, h0s, t_stops):
             warm.warm_starts += 1
             metrics.inc("solver.warm_starts")
             fresh_before = table.fresh_evals
-            brackets[u] = _brackets_from_table(
+            per_unit.append(_brackets_from_table(
                 tensor.problems[pi].mapping, tensor.problems[pi].origin,
-                directions, b, h0, t_stop, _T_INIT, table)
+                directions, b, h0, t_stop, _T_INIT, table))
             if table.fresh_evals == fresh_before:
                 warm.warm_hits += 1
                 metrics.inc("solver.warm_hits")
+        brackets = _bracket_arrays(per_unit)
     else:
         brackets = _expand_units(tensor.problems[0].mapping, tensor.origins,
                                  directions, units, h0s, t_stops)
-    winners = _select_winners(tensor, units, brackets, directions,
-                              tensor.origins, h0s)
-    if warm is not None and table is not None:
-        for u, (pi, _, b) in enumerate(units):
-            if winners[u] is not None:
+    winners = _select_winners(tensor, units, brackets, directions, h0s)
+    if table is not None:
+        for u, winner in enumerate(winners):
+            if winner is not None:
                 side = "upper" if h0s[u] < 0.0 else "lower"
-                warm.hints[side] = winners[u][1]
+                warm.hints[side] = winner[1]
     return winners, directions
 
 
 # ---------------------------------------------------------------------------
-# numeric tier: shared expansion, scalar re-pin of every seed crossing
+# numeric tier: shared expansion and refinement of every seed crossing
 
 
 def _numeric_unit_crossings(tensor, units, value0s, seed):
     """Per-unit directional crossing arrays for the numeric tier's SLSQP
     seeding, bit-identical to ``directional_crossings`` per unit.
 
-    The bracket expansion is shared across the whole group (one flattened
-    tensor); every located bracket is then re-pinned through the scalar
-    reference kernel because the crossings seed the multistart — they are
-    results, not locators.
+    The bracket expansion and the Brent refinement are shared across the
+    whole group (one flattened tensor each); every located bracket is
+    refined, since the crossings seed the multistart.
     """
     directions = _numeric_directions(tensor.dim, seed)
     h0s = [value0s[pi] - b for pi, _, b in units]
     t_stops = _unit_t_stops(tensor, units, directions)
     brackets = _expand_units(tensor.problems[0].mapping, tensor.origins,
                              directions, units, h0s, t_stops)
-    m = directions.shape[0]
-    out = {}
-    for u, (pi, _, b) in enumerate(units):
-        problem = tensor.problems[pi]
-        ts = np.full(m, np.nan)
-        if h0s[u] == 0.0:
-            ts[:] = 0.0
-        else:
-            for row, lo, hi, h_hi in brackets[u]:
-                ts[row] = _refine_bracket(problem.mapping, problem.origin,
-                                          directions[row], b, lo, hi, h_hi,
-                                          _XTOL)
-        out[u] = ts
+    roots = _refine_brackets(tensor, units, h0s, directions, brackets)
+    unit, row = brackets[0], brackets[1]
+    out = np.full((len(units), directions.shape[0]), np.nan)
+    out[unit, row] = roots
+    out[np.asarray(h0s) == 0.0] = 0.0
     return out
 
 

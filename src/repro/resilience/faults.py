@@ -207,11 +207,13 @@ class _FaultingMapping(FeatureMapping):
         inj._maybe_raise(self._site, solver=False)
         return inj._corrupt_scalar(self._site, self.base.value(x))
 
-    def value_many(self, xs: np.ndarray) -> np.ndarray:
+    def value_rows(self, xs: np.ndarray) -> np.ndarray:
+        """One batched call: exception and latency draws once per call,
+        NaN/Inf draws once per row (the :class:`FaultSpec` contract)."""
         inj = self._injector
         inj._maybe_latency(self._site)
         inj._maybe_raise(self._site, solver=False)
-        values = np.array(self.base.value_many(xs), dtype=np.float64,
+        values = np.array(self.base.value_rows(xs), dtype=np.float64,
                           copy=True)
         spec = inj.spec
         if values.size and (spec.nan_rate > 0 or spec.inf_rate > 0):

@@ -498,8 +498,8 @@ class SupervisedExecutor(ParallelExecutor):
                 use_pool = (self.workers > 1 and picklable
                             and self.breaker.allow_pool())
                 if use_pool:
-                    broke = self._pool_wave(tasks, pending, results,
-                                            attempts, errors, last_exc)
+                    broke, pending = self._pool_wave(
+                        tasks, pending, results, attempts, errors, last_exc)
                     if broke:
                         pool_breaks += 1
                         self.pool_breaks += 1
@@ -574,20 +574,35 @@ class SupervisedExecutor(ParallelExecutor):
     # waves
     # ------------------------------------------------------------------
     def _pool_wave(self, tasks, pending, results, attempts, errors,
-                   last_exc) -> bool:
-        """One wave on the process pool; returns True if the pool broke."""
+                   last_exc) -> tuple[bool, list[int]]:
+        """One wave on the process pool.
+
+        Returns ``(broke, attempted)``: whether the pool broke, and the
+        tasks this wave attempted.  A pool that breaks while the wave is
+        still submitting (an earlier task's worker died) fails the task
+        whose submit raised, like a task whose worker died; the tasks
+        after it were never attempted and stay pending.
+        """
         obs = get_observability()
         pool = self._ensure_pool()
         trampoline = observed_call if obs is not None else _call_direct
         futures = []
+        broke = False
+        attempted = []
         for i in pending:
             attempts[i] += 1
+            attempted.append(i)
             call = self._attempt_call(tasks[i], i, attempts[i])
-            futures.append((i, pool.submit(trampoline, call)))
+            try:
+                futures.append((i, pool.submit(trampoline, call)))
+            except BrokenProcessPool as exc:
+                broke = True
+                errors[i] = f"{type(exc).__name__}: {exc}"
+                last_exc[i] = exc
+                break
         timeout = self.config.task_timeout
         timeout = timeout if timeout is not None and timeout > 0 else None
-        broke = False
-        with span("supervisor.wave", tasks=len(pending), mode="pool"):
+        with span("supervisor.wave", tasks=len(attempted), mode="pool"):
             for i, fut in futures:  # submission order
                 try:
                     value = fut.result(timeout=timeout)
@@ -614,7 +629,7 @@ class SupervisedExecutor(ParallelExecutor):
                 results[i] = value
                 self.dispatched += 1
                 get_metrics().inc("executor.dispatched")
-        return broke
+        return broke, attempted
 
     def _serial_wave(self, tasks, pending, results, attempts, errors,
                      last_exc) -> None:

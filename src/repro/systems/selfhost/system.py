@@ -79,7 +79,7 @@ class SelfhostMapping(FeatureMapping):
         metrics = self.model.simulate(x[:n], x[n:])
         return float(metrics.value(self.feature))
 
-    def value_many(self, xs: np.ndarray) -> np.ndarray:
+    def value_rows(self, xs: np.ndarray) -> np.ndarray:
         """Vectorised batch evaluation (one wave recursion for all rows).
 
         Row-for-row bit-identical with :meth:`value` — both routes go

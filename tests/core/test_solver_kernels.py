@@ -175,6 +175,22 @@ class TestStencilGradientIdentity:
         scalar = _finite_diff_gradient_scalar(mapping, x)
         np.testing.assert_array_equal(batched, scalar)
 
+    @pytest.mark.parametrize("n", [3, 8, 12, 20])
+    def test_mixed_composition_bit_identical(self, n):
+        # A callable summed with a vectorised quadratic: the stencil must
+        # evaluate row-exactly (an einsum or a gemv rounds some rows
+        # differently from value).
+        rng = _rng(n)
+        for _ in range(6):
+            mapping = SumMapping([
+                CallableMapping(lambda x: float(np.sin(x).sum()), n),
+                QuadraticMapping(rng.standard_normal((n, n)),
+                                 rng.standard_normal(n))])
+            x = 3.0 * rng.standard_normal(n)
+            np.testing.assert_array_equal(
+                _finite_diff_gradient(mapping, x),
+                _finite_diff_gradient_scalar(mapping, x))
+
     def test_large_magnitude_point(self):
         # The step scales with |x|; exercise the np.maximum branch.
         mapping, _ = _make_mapping("callable")

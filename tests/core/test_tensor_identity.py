@@ -5,10 +5,10 @@ The contract under test: :func:`~repro.core.solvers.tensor.solve_group`
 executor shards, the service worker body) returns, for element ``i``,
 exactly what ``compute_radius(problems[i])`` returns — radius, boundary
 point, bound hit, per-bound table, method, quality — across mapping
-families, norms, boxes, and seeds.  The tensor kernel batches *sign
-decisions* and *candidate selection* only; every returned float is
-re-pinned through the scalar reference kernel, which is what makes this
-equality exact rather than approximate.
+families, norms, boxes, and seeds.  Every batched evaluation is
+row-exact (``value_rows``) and the lock-step Brent is a float-for-float
+port of SciPy's, so the kernel's roots are the scalar reference floats,
+which is what makes this equality exact rather than approximate.
 """
 
 from __future__ import annotations
@@ -82,6 +82,14 @@ def _shared_mapping(kind: str, n: int, rng):
     if kind == "sum":
         return SumMapping([LinearMapping(rng.standard_normal(n)),
                            QuadraticMapping(np.diag(rng.random(n)))])
+    if kind == "sum3":
+        # Three components whose large terms cancel: the last bit of the
+        # sum depends on the fold, which ``value`` and ``value_rows``
+        # must share (Python 3.12's ``sum()`` would compensate it).
+        k = 100.0 * rng.standard_normal(n)
+        return SumMapping([LinearMapping(k),
+                           QuadraticMapping(np.diag(rng.random(n))),
+                           LinearMapping(0.1 * rng.standard_normal(n) - k)])
     if kind == "restricted":
         base = QuadraticMapping(np.diag(1.0 + rng.random(n + 2)))
         return RestrictedMapping(base, list(range(n)),
@@ -110,7 +118,7 @@ def _group(kind: str, norm, boxed: bool, seed: int, n: int = 4,
     return problems
 
 
-KINDS = ["linear", "diag_quadratic", "max", "sum", "restricted",
+KINDS = ["linear", "diag_quadratic", "max", "sum", "sum3", "restricted",
          "reweighted"]
 
 
@@ -232,7 +240,8 @@ class TestBisectionTierIdentity:
 class TestNumericTierIdentity:
     def test_max_mapping_euclidean(self):
         # MaxMapping at norm 2 auto-dispatches to the numeric tier; the
-        # tensor shares bracket expansion but re-pins every SLSQP seed.
+        # tensor shares bracket expansion and the refinement of every
+        # SLSQP seed crossing.
         problems = _group("max", 2, boxed=False, seed=13)
         want = [compute_radius(p, seed=3, cache=False) for p in problems]
         got = solve_group(problems, seed=3, cache=False)
@@ -285,7 +294,8 @@ class TestGrouping:
         tensors = [t for _, t in parts]
         assert tensors[0] is not None and tensors[0].n_problems == 3
         assert tensors[1] is None  # analytic tier
-        assert tensors[2] is None  # singleton group
+        # a group of one rides the kernel too
+        assert tensors[2] is not None and tensors[2].n_problems == 1
         with pytest.raises(SpecificationError):
             ProblemTensor.pack([group[0], analytic])
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -70,6 +72,34 @@ class _Flaky:
             self.remaining -= 1
             raise ValueError("flaky")
         return "ok"
+
+
+class _SubmitBreakingPool:
+    """A fake process pool whose worker dies during submission.
+
+    The first future fails with :class:`BrokenProcessPool` (its worker
+    died) and the second ``submit`` raises it, as a real pool does once
+    it has noticed the death.  Later pools run tasks in-process.
+    """
+
+    def __init__(self, breaks: bool) -> None:
+        self.breaks = breaks
+        self.submits = 0
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        future = Future()
+        if self.breaks and self.submits == 2:
+            raise BrokenProcessPool("A child process terminated abruptly")
+        if self.breaks and self.submits == 1:
+            future.set_exception(
+                BrokenProcessPool("A child process terminated abruptly"))
+        else:
+            future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True):  # noqa: ARG002 - pool API
+        pass
 
 
 class TestConfigs:
@@ -276,6 +306,26 @@ class TestSupervisedRun:
         assert "pool.respawn" in kinds
         snap = obs.metrics.snapshot()
         assert snap["pool.respawns"]["value"] >= 1
+
+    def test_pool_break_during_submission_retries(self):
+        # A worker dying before the wave has submitted every task makes
+        # the next submit raise; that must break the wave, respawn the
+        # pool and retry, not escape run_report.
+        pools = [_SubmitBreakingPool(breaks=True),
+                 _SubmitBreakingPool(breaks=False)]
+        with SupervisedExecutor(2, config=_fast_config(max_task_retries=2),
+                                seed=0) as ex:
+            ex._ensure_pool = lambda: pools[min(ex.respawns, 1)]
+            results, report = ex.run_report(
+                [Task(_square, (i,)) for i in range(4)])
+        assert results == [0, 1, 4, 9]
+        assert report.ok
+        assert report.pool_breaks == 1
+        assert report.respawns == 1
+        assert pools[0].submits == 2
+        # the two tasks the broken wave attempted count one failed
+        # attempt each; the two it never submitted ran once
+        assert [o.attempts for o in report.outcomes] == [2, 2, 1, 1]
 
     def test_breaker_degrades_dispatch_to_serial(self):
         # Every pool wave is killed by tasks that die on a worker but
