@@ -30,7 +30,8 @@ gives every task a wall-clock deadline, ``--max-task-retries`` bounds
 per-task retries before quarantine, and ``--chaos SPEC`` injects a
 deterministic fault schedule (worker kills, latency, exception storms,
 pickling corruption) at the dispatch boundary — any of these routes the
-sweep through a :class:`~repro.resilience.SupervisedExecutor`.
+sweep through a :class:`~repro.resilience.SupervisedExecutor`.  ``serve``
+hands the first two to its service's supervisor and rejects ``--chaos``.
 
 The ``experiments`` command additionally supports
 ``--checkpoint``/``--resume`` for kill-safe sweeps; ``bench-parallel``
@@ -492,16 +493,22 @@ def _make_executor(args):
             and args.chaos is None):
         return None
     from repro.resilience.chaos import ChaosPolicy
-    from repro.resilience.supervisor import (SupervisedExecutor,
-                                             SupervisorConfig)
+    from repro.resilience.supervisor import SupervisedExecutor
 
-    config = SupervisorConfig(
+    chaos = ChaosPolicy.parse(args.chaos) if args.chaos else None
+    return SupervisedExecutor(max(1, args.workers),
+                              config=_supervisor_config(args),
+                              chaos=chaos, seed=args.seed)
+
+
+def _supervisor_config(args):
+    """``--task-timeout`` and ``--max-task-retries`` (default 2)."""
+    from repro.resilience.supervisor import SupervisorConfig
+
+    return SupervisorConfig(
         task_timeout=args.task_timeout,
         max_task_retries=(args.max_task_retries
                           if args.max_task_retries is not None else 2))
-    chaos = ChaosPolicy.parse(args.chaos) if args.chaos else None
-    return SupervisedExecutor(max(1, args.workers), config=config,
-                              chaos=chaos, seed=args.seed)
 
 
 def _cmd_experiments(args) -> int:
@@ -695,11 +702,15 @@ def _cmd_serve(args) -> int:
     from repro.service import RadiusService, ServiceConfig
     from repro.service.bench import _canonical, build_workload
 
+    if args.chaos is not None:  # the service has no fault-injection hook
+        print("error: serve does not support --chaos", file=sys.stderr)
+        return 2
     workload = build_workload(
         seed=args.seed, requests=args.requests,
         problems_per_request=args.problems_per_request)
     solve_seed = args.seed + 1
-    config = ServiceConfig(queue_limit=args.queue_limit)
+    config = ServiceConfig(queue_limit=args.queue_limit,
+                           supervisor=_supervisor_config(args))
     identical = True
     with RadiusService(args.workers, config=config,
                        seed=args.seed) as service:

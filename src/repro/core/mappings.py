@@ -84,10 +84,9 @@ class FeatureMapping(abc.ABC):
         """Evaluate ``f`` for a batch of row vectors (shape ``(m, n)``).
 
         The Monte-Carlo validator and the sampling solver call this with
-        tens of thousands of rows and need no row-exactness.  It is
-        :meth:`value_rows`, except where a subclass has a faster kernel
-        that may round differently per row (:class:`LinearMapping`'s
-        gemv).
+        tens of thousands of rows.  It is :meth:`value_rows`, so every
+        mapping has one batched kernel, and a batch evaluates row for row
+        exactly like :meth:`value`.
         """
         return self.value_rows(xs)
 
@@ -165,14 +164,10 @@ class LinearMapping(FeatureMapping):
         x = self._check_input(x)
         return float(self.coefficients @ x) + self.constant
 
-    def value_many(self, xs: np.ndarray) -> np.ndarray:
-        xs = self._check_input(as_2d_float_array(xs, name="xs"))
-        return xs @ self.coefficients + self.constant
-
     def value_rows(self, xs: np.ndarray) -> np.ndarray:
         # A stacked matmul takes one BLAS dot per row, the kernel
-        # ``value`` uses, where the gemv of ``value_many`` may round
-        # differently (the ``vector_norm_many`` trick).
+        # ``value`` uses, where a gemv may round differently (the
+        # ``vector_norm_many`` trick).
         xs = self._check_input(as_2d_float_array(xs, name="xs"))
         return np.matmul(self.coefficients, xs[:, :, None])[:, 0] \
             + self.constant

@@ -509,12 +509,12 @@ def compute_radii(problems: Sequence[RadiusProblem], *,
     """Batched frontend over :func:`compute_radius`, in problem order.
 
     The whole batch is fingerprinted against the cache first; the misses
-    are grouped by :func:`_solver_structure` and each group is dispatched
-    as a *single* executor task (amortising the pickling of shared
-    mappings), falling back to an in-process loop without an executor.
-    Serial, batched, and fanned-out paths return identical
-    :class:`RadiusResult`\\s — element ``i`` is bit-identical to
-    ``compute_radius(problems[i], ...)``.
+    are grouped by :func:`_solver_structure`, cut into
+    :func:`_worker_shards`, published once into shared memory and solved
+    as one executor task per shard (a :class:`~repro.service.RadiusService`
+    solves each batch this way too).  Serial, batched, and fanned-out
+    paths return identical :class:`RadiusResult`\\s — element ``i`` is
+    bit-identical to ``compute_radius(problems[i], ...)``.
 
     Parameters
     ----------
@@ -528,7 +528,9 @@ def compute_radii(problems: Sequence[RadiusProblem], *,
         served without dispatching; fresh solves are stored back.
     executor:
         Optional :class:`~repro.parallel.executor.ParallelExecutor`;
-        groups fan out when it has workers and the seed is stateless.
+        shards fan out when it has workers and the seed is stateless.
+        A batch whose mapping does not pickle is solved in-process (a
+        ``pool.fallback`` event).
     service:
         Optional running :class:`~repro.service.RadiusService`; the
         batch is submitted there instead of being solved in-process
@@ -567,7 +569,7 @@ def compute_radii(problems: Sequence[RadiusProblem], *,
     problems = list(problems)
     # Imported lazily: the tensor kernel imports this module for result
     # assembly, so the edge must point this way at call time.
-    from repro.core.solvers.tensor import _solve_group_task, solve_group
+    from repro.core.solvers.tensor import solve_group
 
     with span("radius.batch", problems=len(problems)) as sp:
 
@@ -580,33 +582,51 @@ def compute_radii(problems: Sequence[RadiusProblem], *,
                 sp.tags["hits"] = len(problems) - len(misses)
                 sp.tags["groups"] = len(groups)
             get_metrics().inc("radius.batches")
-            if executor is None or getattr(executor, "workers", 1) <= 1 \
-                    or len(misses) <= 1 or stateful:
+            if not misses or executor is None or stateful \
+                    or getattr(executor, "workers", 1) <= 1:
                 # The cache pass already ran; solving with the cache
                 # re-enabled would double-count its misses.
                 return solve_group(misses, method=method, seed=seed,
                                    cache=False)
-            # Imported lazily to avoid a cycle (resilience imports this
-            # module through the cascade).
-            from repro.resilience.supervisor import resolve_task_failures
-
             shards = _worker_shards(list(groups.values()), executor.workers)
             if sp is not None:
                 sp.tags["shards"] = len(shards)
-            tasks = [Task(_solve_group_task,
-                          ([misses[i] for i in idxs], method, seed))
-                     for idxs in shards]
-            # A supervised executor quarantines permanently-failing tasks
-            # into TaskFailure sentinels; the batch needs real results
-            # (and the cache must never store a sentinel), so survivors
-            # re-run in-process, re-raising genuine failures serially.
-            solved = resolve_task_failures(executor.run(tasks), tasks,
-                                           executor=executor)
-            results: list[RadiusResult | None] = [None] * len(misses)
-            for idxs, shard_results in zip(shards, solved):
-                for i, result in zip(idxs, shard_results):
-                    results[i] = result
-            return results
+            return _solve_shards(misses, shards, method, seed, executor)
 
         return _cache_pass(problems, solve, method=method, seed=seed,
                            cache=cache)
+
+
+def _solve_shards(misses: list[RadiusProblem], shards: list[list[int]],
+                  method: str, seed, executor) -> list[RadiusResult]:
+    """Publish ``misses`` once into shared memory and solve one executor
+    task per shard, merging the results in problem order."""
+    # Imported lazily to avoid cycles: the tensor kernel, the supervisor
+    # (through the cascade) and the shm batch all import this module.
+    from repro.core.solvers.tensor import _solve_group_task
+    from repro.resilience.supervisor import resolve_task_failures
+    from repro.service.shm import SharedProblemBatch
+
+    try:
+        published = SharedProblemBatch.publish(misses)
+    except Exception as exc:  # a mapping that does not pickle, most often
+        # Nothing can reach a worker: solve here, on the executor's
+        # record exactly like its own pickling pre-flight.
+        [results] = executor._fallback(
+            [Task(_solve_group_task, (misses, method, seed))],
+            f"unpublishable batch: {exc!r}")
+        return results
+    with published:
+        tasks = [Task(_solve_group_task, (published.shard(idxs), method, seed))
+                 for idxs in shards]
+        # A supervised executor quarantines permanently-failing tasks
+        # into TaskFailure sentinels; the batch needs real results (and
+        # the cache must never store a sentinel), so survivors re-run
+        # in-process, re-raising genuine failures serially.
+        solved = resolve_task_failures(executor.run(tasks), tasks,
+                                       executor=executor)
+    results: list[RadiusResult | None] = [None] * len(misses)
+    for idxs, shard_results in zip(shards, solved):
+        for i, result in zip(idxs, shard_results):
+            results[i] = result
+    return results

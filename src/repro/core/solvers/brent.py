@@ -18,9 +18,8 @@ and therefore its returned root — are bit-identical to calling
 ``scipy.optimize.brentq`` on that bracket, *provided the batched
 evaluation callback returns the same floats as the scalar ``h``*.  The
 solver kernels meet that proviso by evaluating through the row-exact
-``FeatureMapping.value_rows`` (``LinearMapping.value_many``'s gemv
-does not promise it: it may round a row differently from ``value``), so
-the tensor kernel returns the batched roots as results (see
+``FeatureMapping.value_rows``, so the tensor kernel returns the batched
+roots as results (see
 :mod:`repro.core.solvers.tensor`).  The port itself is pinned against
 SciPy across mapping families and random brackets by
 ``tests/core/test_batched_brent.py``, and the kernel's roots by

@@ -573,8 +573,8 @@ def _bisection_crossing_fn(problem, bound, directions, winner, value0):
 
 def solve_group(problems, *, method: str = "auto", seed=None, cache=None):
     """Cache-aware group solve: the in-process batched counterpart of a
-    ``compute_radius`` loop, and the worker body of the executor and
-    service dispatch paths.
+    ``compute_radius`` loop, and (uncached, through
+    :func:`_solve_group_task`) the body of every pooled shard.
 
     Consults the cache once up front, partitions the misses into
     :class:`ProblemTensor` groups (solving leftovers through
@@ -601,6 +601,7 @@ def solve_group(problems, *, method: str = "auto", seed=None, cache=None):
 
 
 def _solve_group_task(problems, method, seed):
-    """Picklable executor-worker body: one structural shard solved through
-    the tensor kernel, consulting the worker's own default cache."""
-    return solve_group(problems, method=method, seed=seed)
+    """Picklable executor-worker body: one shard (a list or a
+    :class:`~repro.service.shm.BatchShard`) solved through the tensor
+    kernel, uncached: the caller's cache pass is the only one."""
+    return solve_group(problems, method=method, seed=seed, cache=False)

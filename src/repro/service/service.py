@@ -8,7 +8,7 @@ is the *service-shaped* alternative:
 
 * one persistent :class:`~repro.resilience.supervisor.SupervisedExecutor`
   for the service's lifetime — workers spawn once and stay warm, with the
-  supervisor's retries/quarantine/breaker protecting every request;
+  supervisor's retries/quarantine/breaker protecting every pooled batch;
 * an async frontend — :meth:`submit` enqueues a request and returns a
   :class:`RadiusTicket` immediately, so many analyses are in flight at
   once; :meth:`gather` (or :meth:`RadiusTicket.result`) blocks for the
@@ -20,13 +20,13 @@ is the *service-shaped* alternative:
   when to probe again;
 * coalescing — whenever the dispatcher frees up it takes every request
   already queued and solves those sharing a ``method`` and seed as one
-  batch: one cache pass, one structural grouping of the misses, one
-  shared-memory publication and one supervised task per group, with the
-  results scattered back to each ticket in order;
-* shared-memory dispatch — a batch's cache-missing problems are
-  published **once** into a :class:`~repro.service.shm.SharedProblemBatch`
-  block and tasks carry only indices, so workers stop unpickling whole
-  problems;
+  batch, with the results handed back to each ticket in order;
+* one dispatch — each batch is a single
+  :func:`~repro.core.radius.compute_radii` call over the service's cache
+  and executor, so it takes the library's own path: one cache pass, the
+  misses grouped and cut into worker shards, published **once** into a
+  :class:`~repro.service.shm.SharedProblemBatch` and solved as one
+  supervised task per shard;
 * a dispatcher-owned :class:`~repro.parallel.cache.RadiusCache` — every
   cache pass runs on the one dispatcher thread, so all clients of a
   service share one plain in-process cache.
@@ -43,10 +43,10 @@ fixed request sequence yields a replayable execution.
 
 Observability: ``service.queue_depth`` / ``service.inflight`` /
 ``service.shm_bytes`` gauges, ``service.admit`` / ``service.shed`` /
-``service.done`` events, a ``service.flush`` span per batch (its cache
-pass, publication and supervised run; worker spans are absorbed into it,
-exactly like the library fan-out path), and under it one zero-length
-``service.request`` span per request, opened as its batch starts.
+``service.done`` events, a ``service.flush`` span per batch, and under it
+one zero-length ``service.request`` span per request, opened as its batch
+starts, and the batch's ``radius.batch`` span (cache pass, publication
+and supervised run, with the worker spans absorbed into it).
 """
 
 from __future__ import annotations
@@ -63,11 +63,9 @@ import numpy as np
 from repro.core.radius import (
     RadiusProblem,
     RadiusResult,
-    _cache_pass,
     _check_method,
-    _solver_structure,
+    compute_radii,
 )
-from repro.core.solvers.tensor import solve_group
 from repro.exceptions import (
     ServiceClosedError,
     ServiceOverloadError,
@@ -75,15 +73,12 @@ from repro.exceptions import (
 )
 from repro.observability import emit_event, get_metrics, span
 from repro.parallel.cache import RadiusCache
-from repro.parallel.executor import Task
 from repro.resilience.supervisor import (
     BreakerConfig,
     CircuitBreaker,
     SupervisedExecutor,
     SupervisorConfig,
-    resolve_task_failures,
 )
-from repro.service.shm import BatchDescriptor, SharedProblemBatch, attach_batch
 
 __all__ = ["ServiceConfig", "RadiusTicket", "RadiusService"]
 
@@ -115,10 +110,6 @@ class ServiceConfig:
         Thresholds for the *admission* breaker — unrelated to the pool
         breaker: its failures are full-queue sheds, and its open-state
         cooldown counts later shed attempts before re-probing the queue.
-    use_shm:
-        Publish each batch's problems through shared memory (default).
-        ``False`` falls back to pickling problems into tasks — same
-        results, useful to quantify what shm dispatch buys.
     """
 
     queue_limit: int = 32
@@ -128,7 +119,6 @@ class ServiceConfig:
     admission: BreakerConfig = field(
         default_factory=lambda: BreakerConfig(failure_threshold=3,
                                               cooldown=8))
-    use_shm: bool = True
 
     def __post_init__(self) -> None:
         if self.queue_limit < 1:
@@ -197,34 +187,16 @@ class _Request:
     seed: object
 
 
-def _solve_group_shm(descriptor: BatchDescriptor, indices: list[int],
-                     method: str, seed) -> list[RadiusResult]:
-    """Picklable worker body: solve a structural group out of a shm batch.
-
-    The task carries a few-dozen-byte descriptor plus indices instead of
-    pickled problems; the batch is attached and header-decoded once per
-    worker process (:func:`~repro.service.shm.attach_batch`).  The
-    dispatcher's cache pass already ran, so the worker solves uncached.
-    """
-    batch = attach_batch(descriptor)
-    return solve_group([batch.problem(i) for i in indices], method=method,
-                       seed=seed, cache=False)
-
-
-def _solve_group_pickled(problems: list[RadiusProblem], method: str,
-                         seed) -> list[RadiusResult]:
-    """Worker body for ``use_shm=False``: problems pickled into the task."""
-    return solve_group(problems, method=method, seed=seed, cache=False)
-
-
 class RadiusService:
     """Long-lived radius server: persistent pool, coalescing, shm dispatch.
 
     Parameters
     ----------
     workers:
-        Worker-process count of the persistent pool (``1`` = in-process
-        serving, still supervised and still async).
+        Worker-process count of the persistent pool.  With ``1`` every
+        batch is solved on the dispatcher thread, like an in-process
+        :func:`~repro.core.radius.compute_radii`, without the
+        supervisor; serving stays async.
     config:
         Service tuning (queue bound, cache policy, supervision,
         admission thresholds); see :class:`ServiceConfig`.
@@ -275,10 +247,10 @@ class RadiusService:
             target=self._dispatch_loop, name="repro-radius-dispatcher",
             daemon=True)
         self._dispatcher.start()
-        logger.info("radius service up: workers=%d queue_limit=%d cache=%s "
-                    "shm=%s", workers, self.config.queue_limit,
+        logger.info("radius service up: workers=%d queue_limit=%d cache=%s",
+                    workers, self.config.queue_limit,
                     type(self.cache).__name__ if self.cache is not None
-                    else "off", self.config.use_shm)
+                    else "off")
 
     # ------------------------------------------------------------------
     # frontend
@@ -298,7 +270,7 @@ class RadiusService:
         SpecificationError
             For an empty request, a non-problem, an unknown ``method``,
             or a stateful :class:`numpy.random.Generator` seed (every
-            group task would restart from the caller's stream position);
+            shard task would restart from the caller's stream position);
             pass an integer seed, or let ``compute_radii`` solve it
             in-process.
         """
@@ -408,7 +380,7 @@ class RadiusService:
         method, seed = batch[0].method, batch[0].seed
         problems = [p for request in batch for p in request.problems]
         with span("service.flush", requests=len(batch),
-                  problems=len(problems), hits=0, groups=0) as sp:
+                  problems=len(problems)) as sp:
             if sp is not None:
                 # Zero-length, so a request span's start is its time out
                 # of the queue.
@@ -418,7 +390,7 @@ class RadiusService:
                               problems=request.ticket.n_problems,
                               flush=sp.span_id):
                         pass
-            solved = self._attempt(problems, method, seed, sp)
+            solved = self._attempt(problems, method, seed)
             if not isinstance(solved, Exception):
                 results = iter(solved)
                 outcomes = [list(itertools.islice(results,
@@ -427,16 +399,20 @@ class RadiusService:
             elif len(batch) == 1:
                 outcomes = [solved]
             else:
-                outcomes = [self._attempt(r.problems, method, seed, None)
+                outcomes = [self._attempt(r.problems, method, seed)
                             for r in batch]
         for request, outcome in zip(batch, outcomes):
             self._finish(request.ticket, outcome)
 
-    def _attempt(self, problems, method, seed, sp):
-        """:meth:`_solve`, returning its exception instead of raising:
-        the dispatcher must keep running, and the ticket re-raises it."""
+    def _attempt(self, problems, method, seed):
+        """Solve one batch through the library path, returning its
+        exception instead of raising: the dispatcher must keep running,
+        and the ticket re-raises it."""
         try:
-            return self._solve(problems, method, seed, sp)
+            # False, not None: None would select the process-wide default.
+            return compute_radii(problems, method=method, seed=seed,
+                                 cache=self.cache if self.cache is not None
+                                 else False, executor=self.executor)
         except Exception as exc:
             return exc
 
@@ -455,48 +431,6 @@ class RadiusService:
         emit_event("service.done", request=ticket.request_id,
                    problems=ticket.n_problems)
         ticket._resolve(outcome)
-
-    def _solve(self, problems: list[RadiusProblem], method: str, seed,
-               sp) -> list[RadiusResult]:
-        """One batch through the library's cache pass: the misses are
-        grouped by solver structure, published once, and solved as one
-        supervised task per group."""
-
-        def solve(misses: list[RadiusProblem]) -> list[RadiusResult]:
-            if sp is not None:
-                sp.tags["hits"] = len(problems) - len(misses)
-            if not misses:  # all hits: nothing to publish
-                return []
-            groups: dict[tuple, list[int]] = {}
-            for i, problem in enumerate(misses):
-                groups.setdefault(_solver_structure(problem, method),
-                                  []).append(i)
-            if sp is not None:
-                sp.tags["groups"] = len(groups)
-            if self.config.use_shm:
-                with SharedProblemBatch.publish(misses) as published:
-                    tasks = [Task(_solve_group_shm,
-                                  (published.descriptor, idxs, method, seed))
-                             for idxs in groups.values()]
-                    solved = resolve_task_failures(
-                        self.executor.run(tasks), tasks,
-                        executor=self.executor)
-            else:
-                tasks = [Task(_solve_group_pickled,
-                              ([misses[i] for i in idxs], method, seed))
-                         for idxs in groups.values()]
-                solved = resolve_task_failures(
-                    self.executor.run(tasks), tasks, executor=self.executor)
-            results: list[RadiusResult | None] = [None] * len(misses)
-            for idxs, group_results in zip(groups.values(), solved):
-                for i, result in zip(idxs, group_results):
-                    results[i] = result
-            return results
-
-        # False, not None: None would select the process-wide default.
-        return _cache_pass(problems, solve, method=method, seed=seed,
-                           cache=self.cache if self.cache is not None
-                           else False)
 
     # ------------------------------------------------------------------
     # lifecycle and diagnostics
@@ -530,19 +464,20 @@ class RadiusService:
         New submissions are rejected immediately
         (:class:`~repro.exceptions.ServiceClosedError`); requests already
         queued or in a batch are still solved — their tickets resolve —
-        before the dispatcher stops and the pool closes.
+        before the dispatcher stops and the pool closes.  When the
+        dispatcher outlives ``timeout``, the pool is left open and a later
+        call finishes the shutdown.
         """
         with self._lock:
-            if self._closed:
-                return
             # No request is admitted after this, so the dispatcher stops
             # once the queue is empty.
             self._closed = True
             self._wakeup.notify()
         self._dispatcher.join(timeout)
-        if self._dispatcher.is_alive():  # pragma: no cover - stuck solver
+        if self._dispatcher.is_alive():
             logger.warning("dispatcher still running after %s s; the pool "
-                           "is left open", timeout)
+                           "is left open until close() is called again",
+                           timeout)
             return
         self.executor.close()
         logger.info("radius service closed: %d completed, %d shed",

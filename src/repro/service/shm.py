@@ -1,9 +1,8 @@
-"""Shared-memory batch publication for the radius service.
+"""Shared-memory batch publication for pooled radius batches.
 
-The per-call fan-out path pickles every :class:`~repro.core.radius.RadiusProblem`
-into each worker task, so a batch of N problems over W workers ships the
-same origin/bounds/coefficient payload N times.  A
-:class:`SharedProblemBatch` publishes the batch **once** into two
+Pickling every :class:`~repro.core.radius.RadiusProblem` into each worker
+task ships the same origin/bounds/coefficient payload once per problem.
+A :class:`SharedProblemBatch` publishes a batch **once** into two
 :class:`multiprocessing.shared_memory.SharedMemory` blocks:
 
 * a *data* block — one contiguous ``float64`` array holding every
@@ -13,16 +12,17 @@ same origin/bounds/coefficient payload N times.  A
   points over the same system, serialize it once), per-problem offsets
   into the data block, tolerance bounds, and norms.
 
-A task then carries only a tiny :class:`BatchDescriptor` plus the indices
-it should solve; workers attach by name and decode the header **once per
-process** (module-level cache), so a long-lived pool stops unpickling
-whole problems on every task.
+:func:`~repro.core.radius.compute_radii` ships every pooled batch this
+way: each task carries a :class:`BatchShard`, which pickles as a tiny
+:class:`BatchDescriptor` plus indices.  Workers attach by name and decode
+the header **once per process** (module-level cache), so a long-lived
+pool stops unpickling whole problems on every task.
 
 Lifecycle discipline is absolute: every published segment is tracked in a
 module registry, unlinked via context-manager exit *and* an ``atexit``
 safety net, and accounted in the ``service.shm_bytes`` gauge.
-:func:`assert_no_leaked_segments` turns a stranded ``/dev/shm`` block
-into a loud test failure instead of silent disk-backed garbage.
+:func:`assert_no_leaked_segments` turns a stranded ``/dev/shm`` block into
+a loud test failure instead of silent disk-backed garbage.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ import logging
 import os
 import pickle
 import uuid
+from collections.abc import Sequence
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Sequence
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from repro.observability import emit_event, get_metrics
 __all__ = [
     "SEGMENT_PREFIX",
     "BatchDescriptor",
+    "BatchShard",
     "SharedProblemBatch",
     "attach_batch",
     "active_segments",
@@ -85,7 +86,8 @@ def _release_all_segments() -> None:
     """``atexit`` safety net: unlink whatever close() never reached."""
     for batch in list(_LIVE.values()):
         logger.warning("unlinking shared-memory batch %s at interpreter "
-                       "exit; close() was never called", batch.data_name)
+                       "exit; close() was never called",
+                       batch.descriptor.data_name)
         batch.close()
 
 
@@ -136,23 +138,26 @@ class BatchDescriptor:
 class SharedProblemBatch:
     """One radius-problem batch published into shared memory.
 
-    Build with :meth:`publish`; hand :attr:`descriptor` plus per-task
-    indices to workers; release with :meth:`close` (or use as a context
-    manager — the batch unlinks on exit even when a request fails).
+    Build with :meth:`publish`; hand each task a :meth:`shard` (or
+    :attr:`descriptor` plus indices); release with :meth:`close` (or use
+    as a context manager — the batch unlinks on exit even when a solve
+    fails).
 
     Notes
     -----
     The publisher must outlive every task that reads the batch: tasks
-    attach by name, and an unlinked segment cannot be attached.  The
-    radius service guarantees this by closing a batch only after the
-    request that published it has gathered all its group results.
+    attach by name, and an unlinked segment cannot be attached.
+    :func:`~repro.core.radius.compute_radii` guarantees this by closing
+    a batch only after every shard task has returned.
     """
 
     def __init__(self, data: shared_memory.SharedMemory,
                  meta: shared_memory.SharedMemory, data_length: int,
-                 n_problems: int) -> None:
+                 problems: list[RadiusProblem]) -> None:
         self._data = data
         self._meta = meta
+        self._problems = problems
+        n_problems = len(problems)
         self.descriptor = BatchDescriptor(
             data_name=data.name, meta_name=meta.name,
             data_length=data_length, n_problems=n_problems)
@@ -236,8 +241,12 @@ class SharedProblemBatch:
             np.ndarray(flat.shape, dtype=np.float64,
                        buffer=data.buf)[:] = flat
         meta.buf[:len(meta_blob)] = meta_blob
-        return cls(data, meta, data_length=int(flat.size),
-                   n_problems=len(problems))
+        return cls(data, meta, int(flat.size), problems)
+
+    def shard(self, indices: Sequence[int]) -> "BatchShard":
+        """Problems ``indices`` of this batch, for one task to solve."""
+        return BatchShard(self.descriptor, indices,
+                          [self._problems[i] for i in indices])
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -267,6 +276,34 @@ class SharedProblemBatch:
         return (f"SharedProblemBatch(name={self.descriptor.data_name!r}, "
                 f"problems={self.descriptor.n_problems}, "
                 f"bytes={self.nbytes}, closed={self.closed})")
+
+
+class BatchShard(Sequence):
+    """Some problems of a published batch, as a read-only sequence.
+
+    It pickles as the batch's :class:`BatchDescriptor` plus the indices.
+    In the publishing process it yields the original problems; unpickled
+    in a worker, it decodes them on first access, inside the task, so a
+    missing segment fails the task rather than the worker.
+    """
+
+    def __init__(self, descriptor: BatchDescriptor, indices: Sequence[int],
+                 problems: list[RadiusProblem] | None = None) -> None:
+        self.descriptor = descriptor
+        self.indices = tuple(indices)
+        self._problems = problems
+
+    def __reduce__(self):
+        return BatchShard, (self.descriptor, self.indices)
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, index):
+        if self._problems is None:  # unpickled in a worker: decode once
+            batch = attach_batch(self.descriptor)
+            self._problems = [batch.problem(i) for i in self.indices]
+        return self._problems[index]
 
 
 class _DecodedBatch:

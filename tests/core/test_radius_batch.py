@@ -140,6 +140,39 @@ class TestExecutorPath:
             got = compute_radii(problems, seed=3, cache=False, executor=pool)
         _assert_identical(got, want)
 
+    def test_workers_solve_uncached(self):
+        # A default cache installed before the pool forks, as the CLI
+        # does, lives on in every worker.  The caller's cache pass must
+        # be the only one: a worker consulting its copy would count (and
+        # store) behind the caller's back.
+        rng = np.random.default_rng(16)
+        problems = []
+        for i in range(8):  # closed form: keys do not depend on the seed
+            coeffs = rng.standard_normal(3)
+            origin = rng.standard_normal(3)
+            problems.append(RadiusProblem(
+                LinearMapping(coeffs), origin,
+                ToleranceBounds.upper(float(coeffs @ origin) + 1.0 + i)))
+        for i in range(8):  # bisection: seeded solves
+            problems.append(RadiusProblem(
+                QuadraticMapping(np.eye(3)), rng.standard_normal(3) * 0.1,
+                ToleranceBounds.upper(2.0 + 0.1 * i), norm=np.inf))
+
+        def counts(obs):
+            snap = obs.metrics.snapshot()
+            return tuple(snap.get(name, {}).get("value", 0)
+                         for name in ("cache.hits", "cache.misses"))
+
+        install_default_cache(RadiusCache())
+        with ParallelExecutor(2) as pool:
+            with observing() as obs:
+                compute_radii(problems, seed=1, cache=False, executor=pool)
+            assert pool.stats()["dispatched"] == 2
+            assert counts(obs) == (0, 0)
+            with observing() as obs:
+                compute_radii(problems, seed=2, executor=pool)
+            assert counts(obs) == (0, len(problems))
+
 
 class TestObservability:
     def test_tracing_does_not_change_results(self):

@@ -95,3 +95,48 @@ class TestCommands:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert "rho" in proc.stdout
+
+
+class TestServeSupervision:
+    """``serve`` hands the global supervision flags to its service and
+    refuses ``--chaos``, which the service has no hook for."""
+
+    SERVE = ["serve", "--requests", "2", "--problems-per-request", "2",
+             "--repeat", "1"]
+
+    @pytest.fixture()
+    def supervisor_configs(self, monkeypatch):
+        import repro.service as service_pkg
+
+        seen = []
+
+        class Recording(service_pkg.RadiusService):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                seen.append(self.executor.config)
+
+        monkeypatch.setattr(service_pkg, "RadiusService", Recording)
+        return seen
+
+    def test_flags_reach_the_service_supervisor(self, capsys,
+                                                supervisor_configs):
+        assert main(["--no-cache", "--task-timeout", "30",
+                     "--max-task-retries", "4"] + self.SERVE) == 0
+        [config] = supervisor_configs
+        assert (config.task_timeout, config.max_task_retries) == (30.0, 4)
+        assert "identical to library path: True" in capsys.readouterr().out
+
+    def test_retries_default_to_two(self, capsys, supervisor_configs):
+        assert main(["--no-cache", "--task-timeout", "30"] + self.SERVE) == 0
+        [config] = supervisor_configs
+        assert (config.task_timeout, config.max_task_retries) == (30.0, 2)
+
+    def test_chaos_is_a_usage_error(self, capsys, supervisor_configs):
+        code = main(["--no-cache", "--workers", "2",
+                     "--chaos", "kill=1.0,seed=1"] + self.SERVE)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "--chaos" in captured.err
+        assert supervisor_configs == []  # no service was started

@@ -78,7 +78,7 @@ def gate():
 class TestBackpressure:
     def test_full_queue_sheds_then_breaker_opens_and_recovers(self, gate):
         config = ServiceConfig(
-            queue_limit=1, cache=False, use_shm=False,
+            queue_limit=1, cache=False,
             admission=BreakerConfig(failure_threshold=2, cooldown=2))
         with RadiusService(1, config=config) as service:
             # park the dispatcher on a gated request
@@ -116,7 +116,7 @@ class TestBackpressure:
             assert stats["admission"]["opens"] == 1
 
     def test_shed_request_is_not_enqueued(self, gate):
-        config = ServiceConfig(queue_limit=1, cache=False, use_shm=False)
+        config = ServiceConfig(queue_limit=1, cache=False)
         with RadiusService(1, config=config) as service:
             blocked = service.submit([_gated_problem()])
             _wait_until(lambda: service.queue_depth() == 0)
@@ -128,8 +128,7 @@ class TestBackpressure:
             blocked.result(timeout=60)
 
     def test_ticket_result_times_out_but_request_survives(self, gate):
-        with RadiusService(1, config=ServiceConfig(cache=False,
-                                                   use_shm=False)) as service:
+        with RadiusService(1, config=ServiceConfig(cache=False)) as service:
             ticket = service.submit([_gated_problem()])
             with pytest.raises(TimeoutError):
                 ticket.result(timeout=0.05)

@@ -2,7 +2,7 @@
 
 When the dispatcher frees up it takes every queued request and solves
 those sharing a ``method`` and seed together — one cache pass, one
-shared-memory publication, one supervised task per structural group.
+shared-memory publication, one supervised task per worker shard.
 Whatever the batch, every ticket must equal the in-process library path
 bit for bit, an error must reach only the ticket that caused it, and
 ``close()`` must still resolve every admitted ticket.
@@ -183,8 +183,10 @@ class TestCoalescedBatch:
                 assert s.tags["flush"] == s.parent_id
             assert sum(f.tags["requests"] for f in flushes.values()) \
                 == 2 * len(specs)
-            assert sum(f.tags["hits"] for f in flushes.values()) \
-                == n_problems
+            batches = [s for s in spans if s.name == "radius.batch"
+                       and s.parent_id in flushes]
+            assert len(batches) == len(flushes)
+            assert sum(b.tags["hits"] for b in batches) == n_problems
 
     def test_queued_requests_coalesce_into_one_flush(self, gate):
         specs = [(_request_problems(i), "auto", 7) for i in range(4)]

@@ -3,8 +3,8 @@
 The acceptance bar of the serving layer: for a fixed seed,
 :meth:`RadiusService.compute` is bit-identical to the in-process
 :func:`compute_radii` path — for any worker count, with tracing on or
-off, through shared-memory dispatch or pickled fallback, cold or served
-from the dispatcher's cache.  ``SolverAttempt.elapsed`` (wall-clock, outside
+off, through shared-memory dispatch, cold or served from the
+dispatcher's cache.  ``SolverAttempt.elapsed`` (wall-clock, outside
 the determinism contract) is the only field neutralised before
 comparison.
 """
@@ -97,14 +97,6 @@ class TestServiceIdentity:
         else:
             with RadiusService(workers, config=config) as service:
                 got = service.compute(problems, seed=7)
-        assert _canonical(got) == _canonical(want)
-
-    def test_pickled_fallback_matches_shm(self):
-        problems = _problems()
-        want = compute_radii(problems, seed=3, cache=False)
-        with RadiusService(2, config=ServiceConfig(cache=False,
-                                                   use_shm=False)) as service:
-            got = service.compute(problems, seed=3)
         assert _canonical(got) == _canonical(want)
 
     def test_dispatcher_cache_pass_is_identical_and_warm(self):

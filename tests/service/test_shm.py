@@ -156,6 +156,14 @@ class TestLifecycle:
         assert batch.closed
         assert active_segments() == []
 
+    def test_exit_safety_net_unlinks_open_batches(self):
+        from repro.service.shm import _release_all_segments
+
+        batch = SharedProblemBatch.publish(_problems())
+        _release_all_segments()  # what atexit runs
+        assert batch.closed
+        assert active_segments() == []
+
     def test_leak_guard_fails_loudly_and_cleans_up(self):
         batch = SharedProblemBatch.publish(_problems())
         with pytest.raises(AssertionError, match=batch.descriptor.data_name):
