@@ -4,7 +4,8 @@ The boundary of the robust region for feature ``phi_i`` is the set
 ``{x : f(x) = beta_min or f(x) = beta_max}`` (FePIA step 4).  This module
 provides structural analysis of mappings — in particular recognising when a
 mapping (possibly wrapped in restriction/reweighting adapters) is affine, so
-the closed-form hyperplane solver (the paper's Equation 4) applies.
+the closed-form hyperplane solver (the paper's Equation 4) applies, or a
+positive-definite quadratic, so the exact ellipsoid projection does.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from repro.core.mappings import (
     SumMapping,
 )
 
-__all__ = ["as_linear", "as_diagonal_quadratic", "BoundaryCrossing"]
+__all__ = ["as_linear", "as_ellipsoid", "as_diagonal_quadratic",
+           "EllipsoidFrame", "FRAME_RTOL", "BoundaryCrossing"]
 
 
 def as_linear(mapping: FeatureMapping) -> LinearMapping | None:
@@ -68,30 +70,129 @@ def as_linear(mapping: FeatureMapping) -> LinearMapping | None:
     return None
 
 
+def _as_quadratic(mapping: FeatureMapping) -> QuadraticMapping | None:
+    """The mapping as one :class:`QuadraticMapping`, or ``None``.
+
+    A :class:`ReweightedMapping` ``g(P) = f(P / alpha)`` over a quadratic
+    is quadratic with ``Q / (alpha alpha')`` and ``k / alpha``.
+    """
+    if isinstance(mapping, ReweightedMapping):
+        inner = _as_quadratic(mapping.base)
+        if inner is None:
+            return None
+        a = mapping.alphas
+        return QuadraticMapping(inner.quadratic / np.outer(a, a),
+                                inner.linear / a, inner.constant)
+    return mapping if isinstance(mapping, QuadraticMapping) else None
+
+
+#: Relative error the centring and rotation of an :class:`EllipsoidFrame`
+#: may add to a radius before :meth:`EllipsoidFrame.holds` refuses it.
+FRAME_RTOL = 1e-9
+
+
+@dataclass(frozen=True)
+class EllipsoidFrame:
+    """A positive-definite quadratic seen from its principal frame.
+
+    With ``Q = V diag(d) V'`` and the centre ``m = -Q^{-1} k / 2``, the
+    coordinates ``y = V'(x - m)`` turn ``f(x) = x'Qx + k.x + c`` into
+    ``sum_i d_i y_i^2 + c'`` with ``c' = c + k.m / 2``.  Euclidean
+    distance is the same in both frames, so projecting onto a level set
+    of ``f`` is projecting onto an axis-aligned ellipsoid.
+
+    Attributes
+    ----------
+    source:
+        ``f`` itself as one :class:`QuadraticMapping` in the problem's
+        coordinates.
+    diagonal:
+        The frame's form ``sum_i d_i y_i^2 + c'`` (``source`` itself for
+        an identity frame).
+    rotation, centre:
+        ``V`` and ``m``; both ``None`` when ``f`` is already diagonal with
+        no linear term, and the frame is the identity.
+    """
+
+    source: QuadraticMapping
+    diagonal: QuadraticMapping
+    rotation: np.ndarray | None = None
+    centre: np.ndarray | None = None
+
+    def holds(self, origin: np.ndarray, levels) -> bool:
+        """Whether the frame's arithmetic keeps the projection of
+        ``origin`` onto each level set ``f = b`` (``b`` in ``levels``)
+        exact.
+
+        An identity frame computes nothing new and always holds.  Else
+        ``x0 - m`` and ``V y* + m`` are rounded at about ``n eps (|m| +
+        |x0 - m|)``, which must stay within :data:`FRAME_RTOL` of a lower
+        bound on each distance: from ``|f(x) - f(x0)| <= g |x - x0| +
+        d_max |x - x0|^2`` (``g = |grad f(x0)|``), no point of ``f = b``
+        is closer than the root ``rho`` of ``d_max rho^2 + g rho =
+        |b - f(x0)|``.  A centre far beyond the problem's own scale (a
+        nearly flat axis under a linear term) fails this and the problem
+        stays numeric.
+        """
+        if self.rotation is None:
+            return True
+        origin = np.asarray(origin, dtype=np.float64)
+        f0 = self.source.value(origin)
+        g = float(np.linalg.norm(self.source.gradient(origin)))
+        d_max = float(self.diagonal.quadratic[-1, -1])
+        err = origin.size * np.finfo(np.float64).eps * float(
+            np.linalg.norm(self.centre) + np.linalg.norm(origin - self.centre))
+        for b in levels:
+            gap = abs(float(b) - f0)
+            rho = 2.0 * gap / (g + math.sqrt(g * g + 4.0 * d_max * gap)) \
+                if gap > 0.0 else 0.0
+            if err > FRAME_RTOL * rho:
+                return False
+        return True
+
+
+def as_ellipsoid(mapping: FeatureMapping) -> EllipsoidFrame | None:
+    """The principal frame of a positive-definite quadratic, or ``None``.
+
+    Recognises ``x'Qx + k.x + c`` with ``Q`` positive definite, directly
+    or through :class:`ReweightedMapping`; the dispatcher routes such
+    features to the exact ellipsoid-projection solver when the frame
+    :meth:`~EllipsoidFrame.holds` for the problem.  A diagonal ``Q`` with
+    every ``d_i > 0`` and no linear term is its own frame.  Any other
+    ``Q`` is decomposed by ``eigh`` and must pass a conditioning guard,
+    ``d_min > n * eps * d_max``: semidefinite, indefinite and numerically
+    singular forms give ``None``.
+    """
+    quad = _as_quadratic(mapping)
+    if quad is None:
+        return None
+    Q, k = quad.quadratic, quad.linear
+    d = np.diag(Q)
+    if not np.any(k) and not np.any(Q - np.diag(d)):
+        return EllipsoidFrame(quad, quad) if np.all(d > 0.0) else None
+    d, V = np.linalg.eigh(Q)
+    if not d[0] > d.size * np.finfo(np.float64).eps * d[-1]:
+        return None
+    centre = -0.5 * (V @ ((V.T @ k) / d))
+    return EllipsoidFrame(
+        quad,
+        QuadraticMapping(np.diag(d), None,
+                         quad.constant + 0.5 * float(k @ centre)),
+        V, centre)
+
+
 def as_diagonal_quadratic(mapping: FeatureMapping) -> QuadraticMapping | None:
     """Extract an equivalent diagonal positive quadratic, or ``None``.
 
-    Recognises ``sum_i d_i x_i^2 + c`` with every ``d_i > 0`` and a zero
-    linear term, directly or through a :class:`ReweightedMapping` (which
-    rescales the diagonal by ``1/alpha_i^2``).  The dispatcher routes such
-    features to the exact ellipsoid-projection solver.
+    The :func:`as_ellipsoid` frames that need no rotation: ``sum_i d_i
+    x_i^2 + c`` with every ``d_i > 0`` and a zero linear term, directly
+    or through a :class:`ReweightedMapping` (which rescales the diagonal
+    by ``1/alpha_i^2``).
     """
-    if isinstance(mapping, ReweightedMapping):
-        inner = as_diagonal_quadratic(mapping.base)
-        if inner is None:
-            return None
-        d = np.diag(inner.quadratic) / mapping.alphas ** 2
-        return QuadraticMapping(np.diag(d), None, inner.constant)
-    if not isinstance(mapping, QuadraticMapping):
+    frame = as_ellipsoid(mapping)
+    if frame is None or frame.rotation is not None:
         return None
-    Q = mapping.quadratic
-    if np.any(mapping.linear != 0.0):
-        return None
-    if np.any(Q - np.diag(np.diag(Q)) != 0.0):
-        return None
-    if not np.all(np.diag(Q) > 0.0):
-        return None
-    return mapping
+    return frame.diagonal
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,11 @@ set ``{x : f(x) = beta_min or f(x) = beta_max}``:
     r = min over finite bounds b of  min_{x : f(x)=b} ||x - x_orig|| .
 
 :func:`compute_radius` dispatches on the mapping's structure: affine
-features go to the exact hyperplane solver; everything else goes through a
-multistart numeric projection seeded by directional bisection.  A bound
+features go to the exact hyperplane solver, and positive-definite
+quadratics (unboxed, Euclidean) to the exact ellipsoid projection in their
+centred, rotated frame; everything else goes through a multistart numeric
+projection seeded by directional bisection, or directional bisection
+itself under the 1- and inf-norms.  A bound
 whose level set is unreachable contributes ``inf``; if *no* finite bound is
 reachable, the radius is infinite (the allocation can never be driven out
 of specification by these perturbations).
@@ -19,7 +22,10 @@ Every path that produces a radius — :func:`compute_radius`,
 :func:`_tier_ladder` decides the solver tiers a problem walks and
 :data:`_SOLVERS` holds one solver per tier; :func:`_cache_pass` serves
 cached radii and stores fresh ones; :func:`_preflight` and :func:`_fold`
-turn per-bound crossings into a :class:`RadiusResult`.
+turn per-bound crossings into a :class:`RadiusResult`.  A pooled
+:func:`compute_radii` batch is cut by :func:`_worker_shards`, which
+prices each structural group (:func:`_estimate_ms`) and splits across
+workers only the groups worth another pool round trip.
 """
 
 from __future__ import annotations
@@ -34,16 +40,17 @@ import numpy as np
 
 from repro.core.boundary import (
     BoundaryCrossing,
-    as_diagonal_quadratic,
+    EllipsoidFrame,
+    as_ellipsoid,
     as_linear,
 )
 from repro.core.diagnostics import Quality, SolverAttempt, quality_of_method
 from repro.core.features import ToleranceBounds
-from repro.core.mappings import FeatureMapping
+from repro.core.mappings import FeatureMapping, LinearMapping
 from repro.core.solvers.analytic import solve_linear_radius
 from repro.core.solvers.bisection import solve_bisection_radius
 from repro.core.solvers.box_linear import solve_linear_box_radius
-from repro.core.solvers.ellipsoid import solve_ellipsoid_radius
+from repro.core.solvers.ellipsoid import solve_ellipsoid_frame
 from repro.core.solvers.numeric import solve_numeric_radius
 from repro.exceptions import (
     BoundaryNotFoundError,
@@ -193,7 +200,7 @@ class RadiusResult:
 _CLOSED_FORM = frozenset({"analytic", "analytic-box", "ellipsoid"})
 
 #: One solver per tier, called as ``(problem, form, bound, seed, warm)``.
-#: ``form`` is the affine or diagonal-quadratic view the closed-form tiers
+#: ``form`` is the affine view or the ellipsoid frame the closed-form tiers
 #: solve over (see :func:`_tier_ladder`); ``warm`` is an optional
 #: :class:`~repro.core.solvers.warm.WarmStart` the directional tiers replay
 #: (the closed forms have nothing to warm).
@@ -202,7 +209,7 @@ _SOLVERS = {
         form, p.origin, b, norm=p.norm, lower=p.lower, upper=p.upper),
     "analytic-box": lambda p, form, b, seed, warm: solve_linear_box_radius(
         form, p.origin, b, lower=p.lower, upper=p.upper),
-    "ellipsoid": lambda p, form, b, seed, warm: solve_ellipsoid_radius(
+    "ellipsoid": lambda p, form, b, seed, warm: solve_ellipsoid_frame(
         form, p.origin, b),
     "numeric": lambda p, form, b, seed, warm: solve_numeric_radius(
         p.mapping, p.origin, b, lower=p.lower, upper=p.upper, seed=seed,
@@ -214,21 +221,30 @@ _SOLVERS = {
 
 
 def _tier_ladder(problem: RadiusProblem, method: str
-                 ) -> tuple[tuple[str, ...], FeatureMapping | None]:
+                 ) -> tuple[tuple[str, ...],
+                            LinearMapping | EllipsoidFrame | None]:
     """The ordered solver tiers ``problem`` walks per bound under ``method``.
 
     Returns ``(ladder, form)``.  Each bound tries the ladder's tiers in
     order and keeps the first crossing found; otherwise the last tier's
-    answer stands.  ``form`` is the affine or diagonal-quadratic view the
-    closed-form tiers solve over (``None`` for a directional ladder).
+    answer stands.  ``form`` is the affine view
+    (:class:`~repro.core.mappings.LinearMapping`) or the
+    :class:`~repro.core.boundary.EllipsoidFrame` the closed-form tiers
+    solve over (``None`` for a directional ladder).
 
     * An affine mapping under ``"auto"`` or ``"analytic"`` takes the exact
       hyperplane solver.  Under ``"auto"`` with a box, the Euclidean norm
       takes the exact clamped-multiplier projection (``analytic-box``);
       other norms try the unboxed hyperplane and fall through to
       bisection when the box keeps it out of reach.
-    * A diagonal positive quadratic under ``"auto"``, unboxed and
-      Euclidean, takes the exact ellipsoid projection.
+    * A positive-definite quadratic ``x'Qx + k.x + c`` under ``"auto"``,
+      unboxed and Euclidean, directly or through a
+      :class:`~repro.core.mappings.ReweightedMapping`, takes the exact
+      ellipsoid projection in its centred, rotated frame
+      (:func:`~repro.core.boundary.as_ellipsoid`; a semidefinite,
+      indefinite or ill-conditioned ``Q`` does not qualify, nor a problem
+      whose frame does not :meth:`~repro.core.boundary.EllipsoidFrame.holds`
+      its radius to ``FRAME_RTOL``).
     * Everything else takes directional bisection (forced, or any
       non-Euclidean norm: the numeric projection minimises the Euclidean
       distance only) or the numeric multistart.
@@ -253,9 +269,10 @@ def _tier_ladder(problem: RadiusProblem, method: str
                 "method='analytic' requires a structurally affine mapping; "
                 f"got {type(problem.mapping).__name__}")
         if problem.norm == 2 and not has_box:
-            diag = as_diagonal_quadratic(problem.mapping)
-            if diag is not None:
-                return ("ellipsoid",), diag
+            frame = as_ellipsoid(problem.mapping)
+            if frame is not None and frame.holds(
+                    problem.origin, problem.bounds.finite_bounds):
+                return ("ellipsoid",), frame
     if method == "bisection" or problem.norm != 2:
         return ("bisection",), None
     return ("numeric",), None
@@ -418,9 +435,10 @@ def compute_radius(problem: RadiusProblem, *, method: Method = "auto",
         The radius computation to perform.
     method:
         ``"auto"`` (default) walks the problem's tier ladder (see
-        :func:`_tier_ladder`): the exact solvers for affine features and
-        diagonal quadratics, the numeric projection or directional
-        bisection otherwise.  ``"analytic"``, ``"numeric"`` and
+        :func:`_tier_ladder`): the exact solvers for affine features and,
+        unboxed under the Euclidean norm, for every positive-definite
+        quadratic; the numeric projection or directional bisection
+        otherwise.  ``"analytic"``, ``"numeric"`` and
         ``"bisection"`` force a specific solver.
     seed:
         Seed for the stochastic components (multistart, random directions).
@@ -466,26 +484,101 @@ def compute_radius(problem: RadiusProblem, *, method: Method = "auto",
     return result
 
 
-def _worker_shards(group_indices: list[list[int]],
-                   workers: int) -> list[list[int]]:
-    """Split structural groups into executor shards.
+#: Estimated in-process cost, in ms, of solving one bound of one problem
+#: by tier and dimension (the bisection tier's per-problem work scales
+#: with its ``2 * dim + 128`` directions), and of one directional tensor
+#: (its direction matrix, lock-step expansion and Brent rounds).
+#: Calibrated in docs/PERFORMANCE.md.
+_BOUND_MS = {
+    "analytic": lambda dim: 0.015,
+    "ellipsoid": lambda dim: 0.1,
+    "numeric": lambda dim: 9.0 * dim,
+    "bisection": lambda dim: 1e-3 * (2 * dim + 128) * (1.0 + 0.1 * dim),
+}
+_TENSOR_MS = 0.9
+#: Estimated cost below which cutting a group across two workers does
+#: not pay: the extra pool round trip (publish, decode, a repeated
+#: tensor set-up) eats the halved solve.  It applies unless a worker
+#: would sit idle in a batch that goes to the pool anyway; there a cut
+#: only adds a task run in parallel, and any group worth more than its
+#: share is cut (see :func:`compute_radii`).
+_CUT_MS = 4.0
 
-    Every group is at least one shard; when there are fewer groups than
-    workers, the groups are cut into contiguous slices so idle workers
-    get pieces of the same tensor instead of sitting out the batch (the
-    old dispatcher fell back to a serial loop whenever the batch was one
-    homogeneous group).  Slicing is deterministic and order-preserving;
-    shard boundaries never change results (element ``i`` is bit-identical
-    to ``compute_radius(problems[i])`` regardless of grouping).
+
+def _estimate_ms(structure: tuple, problems: int) -> float:
+    """Estimated cost of solving ``problems`` problems of one
+    :func:`_solver_structure` as one tensor (or one closed-form loop)."""
+    tier, dim, bounds = structure
+    fixed = _TENSOR_MS if tier in ("bisection", "numeric") else 0.0
+    return fixed + problems * bounds * _BOUND_MS[tier](dim)
+
+
+class _Shard(list):
+    """One executor task's problem indices, with its estimated cost in ms
+    (``None`` when the groups came unpriced)."""
+
+    def __init__(self, indices, cost: float | None = None) -> None:
+        super().__init__(indices)
+        self.cost = cost
+
+
+def _worker_shards(group_indices: list[list[int]], workers: int,
+                   structures: list[tuple] | None = None,
+                   subgroups=None, break_even: float = _CUT_MS
+                   ) -> list[_Shard]:
+    """Split structural groups into executor shards, costliest first.
+
+    Every group is one shard unless it is priced and worth cutting:
+    ``structures[g]`` is group ``g``'s :func:`_solver_structure` key, from
+    which :func:`_estimate_ms` prices it.  A group is cut only when its
+    estimate exceeds both the per-worker share of the batch (total /
+    ``workers``) and ``break_even`` (ms), into ``ceil(estimate / share)``
+    (at most ``workers``) pieces.  The pieces follow the group's tensor
+    sub-groups, ``subgroups(indices)`` (required with ``structures``),
+    which is called only for a group being cut (see :func:`_cut_group`).
+    Shard boundaries never change results: element ``i`` is bit-identical
+    to ``compute_radius(problems[i])`` regardless of grouping.
     """
-    shards: list[list[int]] = []
-    per_group = max(1, workers // max(1, len(group_indices)))
-    for idxs in group_indices:
-        cuts = min(per_group, len(idxs))
-        size = -(-len(idxs) // cuts)  # ceil division
-        for start in range(0, len(idxs), size):
-            shards.append(idxs[start:start + size])
+    if structures is None:
+        return [_Shard(idxs) for idxs in group_indices]
+    costs = [_estimate_ms(structure, len(idxs))
+             for structure, idxs in zip(structures, group_indices)]
+    share = sum(costs) / workers
+    shards: list[_Shard] = []
+    for idxs, structure, cost in zip(group_indices, structures, costs):
+        if cost <= max(share, break_even):
+            shards.append(_Shard(idxs, cost))
+            continue
+        pieces = min(workers, math.ceil(cost / share))
+        shards.extend(_cut_group(subgroups(idxs), structure, pieces))
+    shards.sort(key=lambda shard: -shard.cost)
     return shards
+
+
+def _cut_group(subs: list[list[int]], structure: tuple,
+               pieces: int) -> list[_Shard]:
+    """Pack one group's tensor sub-groups into ``pieces`` shards.
+
+    Each sub-group stays whole unless it alone exceeds a piece's share of
+    the group, in which case it is cut into contiguous slices (each slice
+    repeats the tensor's fixed cost).  The items then go, costliest
+    first, onto the least-loaded piece.
+    """
+    share = sum(_estimate_ms(structure, len(sub)) for sub in subs) / pieces
+    items: list[list[int]] = []
+    for sub in subs:
+        cuts = min(pieces,
+                   math.ceil(_estimate_ms(structure, len(sub)) / share))
+        size = -(-len(sub) // cuts)  # ceil division
+        items.extend(sub[k:k + size] for k in range(0, len(sub), size))
+    items.sort(key=len, reverse=True)
+    bins: list[list[int]] = [[] for _ in range(pieces)]
+    loads = [0.0] * pieces
+    for item in items:
+        j = loads.index(min(loads))
+        bins[j].extend(item)
+        loads[j] += _estimate_ms(structure, len(item))
+    return [_Shard(sorted(b), load) for b, load in zip(bins, loads) if b]
 
 
 def _solver_structure(problem: RadiusProblem, method: str) -> tuple:
@@ -582,19 +675,47 @@ def compute_radii(problems: Sequence[RadiusProblem], *,
                 sp.tags["hits"] = len(problems) - len(misses)
                 sp.tags["groups"] = len(groups)
             get_metrics().inc("radius.batches")
-            if not misses or executor is None or stateful \
-                    or getattr(executor, "workers", 1) <= 1:
+            inline = not misses or executor is None or stateful \
+                or getattr(executor, "workers", 1) <= 1
+            if not inline:
+                # A cut pays for a pool round trip of its own unless the
+                # batch goes to the pool anyway with a worker left idle.
+                idle = len(groups) < executor.workers \
+                    and not executor.runs_inline(len(groups))
+                shards = _worker_shards(
+                    list(groups.values()), executor.workers, list(groups),
+                    lambda idxs: _tensor_subgroups(misses, idxs, method),
+                    break_even=0.0 if idle else _CUT_MS)
+                # A lone shard on an executor that runs it in-process:
+                # publishing would only copy the batch there and back.
+                inline = executor.runs_inline(len(shards))
+            if inline:
                 # The cache pass already ran; solving with the cache
                 # re-enabled would double-count its misses.
                 return solve_group(misses, method=method, seed=seed,
                                    cache=False)
-            shards = _worker_shards(list(groups.values()), executor.workers)
             if sp is not None:
                 sp.tags["shards"] = len(shards)
+                sp.tags["shard_cost_ms"] = [round(shard.cost, 3)
+                                            for shard in shards]
             return _solve_shards(misses, shards, method, seed, executor)
 
         return _cache_pass(problems, solve, method=method, seed=seed,
                            cache=cache)
+
+
+def _tensor_subgroups(problems: list[RadiusProblem], idxs: list[int],
+                      method: str) -> list[list[int]]:
+    """Split one structural group's indices by
+    :meth:`~repro.core.solvers.tensor.ProblemTensor.batch_key`, in
+    first-seen order: the tensors its shard would solve."""
+    from repro.core.solvers.tensor import ProblemTensor
+
+    by_key: dict = {}
+    for i in idxs:
+        by_key.setdefault(ProblemTensor.batch_key(problems[i], method),
+                          []).append(i)
+    return list(by_key.values())
 
 
 def _solve_shards(misses: list[RadiusProblem], shards: list[list[int]],

@@ -17,7 +17,7 @@ reuse across repeated radius evaluations at nearby operating points.
 * the solver ``method`` and the ``seed`` (stochastic solvers draw from
   it, so different seeds must never share an entry) — *except* for
   structurally deterministic solves, whose tier ladder is closed-form
-  throughout (an affine mapping, or a diagonal-quadratic under
+  throughout (an affine mapping, or a positive-definite quadratic under
   ``method="auto"`` with no box and the Euclidean norm) and so can never
   reach a seeded solver: those are keyed on a ``deterministic`` marker
   instead, so repeated ``validate_radius`` sweeps across seeds share one

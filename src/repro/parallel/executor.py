@@ -161,6 +161,11 @@ class ParallelExecutor:
         with span("parallel.fallback", tasks=len(tasks)):
             return [task() for task in tasks]
 
+    def runs_inline(self, n_tasks: int) -> bool:
+        """Whether :meth:`run` executes a batch of ``n_tasks`` tasks
+        in-process without trying the pool: one worker, or one task."""
+        return self.workers <= 1 or n_tasks <= 1
+
     def run(self, tasks: Sequence[Callable[[], Any]]) -> list[Any]:
         """Execute zero-argument tasks, returning results in task order.
 
@@ -176,7 +181,7 @@ class ParallelExecutor:
         stay bit-identical with tracing on or off, for any worker count.
         """
         tasks = list(tasks)
-        if self.workers <= 1 or len(tasks) <= 1:
+        if self.runs_inline(len(tasks)):
             return [task() for task in tasks]
         try:
             pickle.dumps(tasks)

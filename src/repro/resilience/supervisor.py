@@ -454,6 +454,11 @@ class SupervisedExecutor(ParallelExecutor):
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
+    def runs_inline(self, n_tasks: int) -> bool:
+        """A single task still goes to the pool, under its deadline: a
+        hanging task must not park the caller."""
+        return self.workers <= 1
+
     def run(self, tasks: Sequence[Callable[[], Any]]) -> list[Any]:
         """Execute tasks under supervision; results in task order.
 

@@ -63,11 +63,22 @@ class TestDispatch:
         assert res.radius == pytest.approx(2.0, rel=1e-12)
 
     def test_general_quadratic_routed_to_numeric(self):
-        Q = np.array([[1.0, 0.3], [0.3, 2.0]])  # off-diagonal: not ellipsoid path
+        Q = np.array([[1.0, 0.3], [0.3, -2.0]])  # indefinite: no ellipsoid
         p = problem(QuadraticMapping(Q), [0.0, 0.0],
                     ToleranceBounds.upper(4.0))
         res = compute_radius(p, seed=0)
         assert res.method == "numeric"
+
+    def test_positive_definite_quadratic_routed_to_ellipsoid(self):
+        # Off-diagonal and shifted: exact in its centred, rotated frame.
+        m = QuadraticMapping([[1.0, 0.3], [0.3, 2.0]], [0.2, -0.1], 0.5)
+        p = problem(m, [0.1, 0.2], ToleranceBounds.upper(4.0))
+        res = compute_radius(p, seed=0)
+        assert res.method == "ellipsoid"
+        assert res.quality.name == "EXACT"
+        assert m.value(res.boundary_point) == pytest.approx(4.0, abs=1e-9)
+        numeric = compute_radius(p, method="numeric", seed=0)
+        assert res.radius == pytest.approx(numeric.radius, rel=1e-6)
 
     def test_force_analytic_on_nonlinear_rejected(self):
         p = problem(QuadraticMapping(np.eye(2)), [0.0, 0.0],

@@ -21,6 +21,7 @@ from repro.core.radius import (
     RadiusProblem,
     _solver_structure,
     _tier_ladder,
+    _worker_shards,
     compute_radii,
     compute_radius,
 )
@@ -201,7 +202,9 @@ KINDS = {
     "linear": LinearMapping([1.0, 0.5, 0.25]),
     "diag_quadratic": QuadraticMapping(np.diag([1.0, 2.0, 3.0])),
     "full_quadratic": QuadraticMapping([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2],
-                                        [0.0, 0.2, 1.5]]),
+                                        [0.0, 0.2, 1.5]], [0.3, -0.2, 0.1]),
+    "indefinite_quadratic": QuadraticMapping(
+        [[2.0, 0.5, 0.0], [0.5, -1.0, 0.2], [0.0, 0.2, 1.5]]),
     "max": MaxMapping([LinearMapping([1.0, 0.0, 0.5]),
                        LinearMapping([0.0, 1.0, -0.5], 0.2)]),
 }
@@ -230,8 +233,8 @@ def _expected_ladder(kind: str, norm, boxed: bool, method: str):
         return ("analytic",)
     if method == "analytic":
         return None
-    if method == "auto" and kind == "diag_quadratic" and norm == 2 \
-            and not boxed:
+    if method == "auto" and kind in ("diag_quadratic", "full_quadratic") \
+            and norm == 2 and not boxed:
         return ("ellipsoid",)
     if method == "bisection" or norm != 2:
         return ("bisection",)
@@ -325,3 +328,114 @@ class TestSolverStructure:
         assert names[:len(ladder)] == ladder
         assert names[-1] == "bisection"
         assert ("numeric" in names) == (norm == 2)
+
+
+def _radii_batch_shaped(seed: int = 7) -> list[RadiusProblem]:
+    """80 problems shaped like perfbench's ``radii-batch``: 64 bisection
+    problems over 3 shared 12-dim mappings x 2 norms (6 tensors), 2
+    two-dim positive-definite quadratics and 14 closed-form problems."""
+    rng = np.random.default_rng(seed)
+    n = 12
+    rows = rng.standard_normal((4, n))
+    mappings = [QuadraticMapping(np.diag(1.0 + 0.2 * rng.random(n))),
+                QuadraticMapping(np.diag(1.0 + 0.2 * rng.random(n))),
+                MaxMapping([LinearMapping(row / np.linalg.norm(row), 0.1 * k)
+                            for k, row in enumerate(rows)])]
+    problems = []
+    for i in range(64):
+        mapping = mappings[i % 3]
+        origin = 0.05 * rng.standard_normal(n)
+        problems.append(RadiusProblem(
+            mapping, origin,
+            ToleranceBounds(beta_max=mapping.value(origin) + 3.0),
+            norm=np.inf if (i // 3) % 2 == 0 else 1))
+    for _ in range(2):
+        q = np.diag(1.0 + rng.random(2))
+        q[0, 1] = q[1, 0] = 0.3
+        origin = 0.05 * rng.standard_normal(2)
+        problems.append(RadiusProblem(
+            QuadraticMapping(q), origin,
+            ToleranceBounds(beta_max=QuadraticMapping(q).value(origin) + 2.0)))
+    for j in range(14):
+        origin = 0.05 * rng.standard_normal(n)
+        if j % 2 == 0:
+            problems.append(RadiusProblem(
+                LinearMapping(rng.standard_normal(n) + 0.1, 1.0), origin,
+                ToleranceBounds(-12.0, 12.0)))
+        else:
+            problems.append(RadiusProblem(
+                QuadraticMapping(np.diag(np.abs(rng.standard_normal(n))
+                                         + 0.5)),
+                origin, ToleranceBounds(-6.0, 6.0)))
+    return [problems[k] for k in rng.permutation(len(problems))]
+
+
+class TestCostSizedShards:
+    def test_unpriced_groups_are_one_shard_each(self):
+        groups = [[0, 2, 4], [1], [3, 5]]
+        assert _worker_shards(groups, 2) == groups
+
+    def test_cheap_groups_stay_whole(self):
+        # 10 ellipsoid problems (about 2 ms) sit below the cut break-even.
+        groups = [list(range(10)), list(range(10, 12))]
+        def subgroups(idxs):
+            pytest.fail(f"sub-grouped a group that is not cut: {idxs}")
+
+        shards = _worker_shards(groups, 4, [("ellipsoid", 12, 2),
+                                            ("analytic", 12, 2)], subgroups)
+        assert shards == groups
+        assert [s.cost for s in shards] == sorted(
+            (s.cost for s in shards), reverse=True)
+
+    def test_idle_worker_cuts_any_group_over_its_share(self):
+        # With no break-even (a pooled batch leaving a worker idle), a
+        # lone cheap group is cut into one piece per worker.
+        shards = _worker_shards([list(range(4))], 2, [("analytic", 8, 2)],
+                                lambda idxs: [idxs], break_even=0.0)
+        assert shards == [[0, 1], [2, 3]]
+        assert _worker_shards([list(range(4))], 2, [("analytic", 8, 2)],
+                              lambda idxs: [idxs]) == [list(range(4))]
+
+    def test_costly_group_cut_along_its_tensors(self):
+        subs = [list(range(k, 60, 6)) for k in range(6)]  # 6 tensors of 10
+        calls = []
+
+        def subgroups(idxs):
+            calls.append(idxs)
+            return subs
+
+        groups = [list(range(60)), [60, 61]]
+        shards = _worker_shards(groups, 2, [("bisection", 12, 1),
+                                            ("analytic", 12, 2)], subgroups)
+        assert calls == [groups[0]]  # only the group being cut
+        assert [len(s) for s in shards] == [30, 30, 2]
+        for piece in shards[:2]:  # three whole tensors per piece
+            assert sorted(piece) == sorted(
+                i for sub in subs if sub[0] in piece for i in sub)
+        assert sorted(i for s in shards for i in s) == list(range(62))
+
+    def test_lone_tensor_sliced_into_pieces(self):
+        shards = _worker_shards([list(range(48))], 4, [("bisection", 12, 1)],
+                                lambda idxs: [idxs])
+        assert [len(s) for s in shards] == [12, 12, 12, 12]
+        assert sorted(i for s in shards for i in s) == list(range(48))
+
+    def test_traced_radii_batch_cuts_the_bisection_group_in_two(self):
+        problems = _radii_batch_shaped()
+        want = compute_radii(problems, seed=7, cache=False)
+        with ParallelExecutor(2) as pool, observing() as obs:
+            got = compute_radii(problems, seed=7, cache=False, executor=pool)
+        _assert_identical(got, want)
+        spans = obs.recorder.spans()
+        [batch] = [s for s in spans if s.name == "radius.batch"]
+        assert (batch.tags["groups"], batch.tags["shards"]) == (4, 5)
+        costs = batch.tags["shard_cost_ms"]
+        assert len(costs) == 5 and costs == sorted(costs, reverse=True)
+        # Tasks run in submission order: the two costliest are the
+        # bisection pieces, each three whole tensors of the six.
+        tasks = [s for s in spans if s.name == "parallel.task"]
+        tensors = [[s.tags["problems"] for s in spans
+                    if s.name == "radius.tensor" and s.parent_id == t.span_id]
+                   for t in tasks[:2]]
+        assert [len(t) for t in tensors] == [3, 3]
+        assert sorted(tensors[0] + tensors[1]) == [10, 10, 11, 11, 11, 11]

@@ -323,9 +323,14 @@ class TestDispatchPaths:
 
     @pytest.mark.parametrize("traced", [False, True])
     def test_serial_vs_executor_vs_service(self, traced):
-        problems = self._group()
+        # 48 twelve-dim problems are worth cutting, so the 4-worker leg
+        # solves them in pooled shards (a cheap group would be one shard,
+        # solved in-process).
+        problems = _group("diag_quadratic", 1, boxed=False, seed=23, n=12,
+                          members=48)
         want = [compute_radius(p, method="bisection", seed=3, cache=False)
                 for p in problems]
+        dispatched = {}
 
         def run_all():
             got = {"serial": compute_radii(problems, method="bisection",
@@ -335,6 +340,7 @@ class TestDispatchPaths:
                     got[f"executor{workers}"] = compute_radii(
                         problems, method="bisection", seed=3, cache=False,
                         executor=pool)
+                    dispatched[workers] = pool.stats()["dispatched"]
             with RadiusService(2, config=ServiceConfig(cache=False)) as svc:
                 got["service"] = compute_radii(problems, method="bisection",
                                                seed=3, service=svc)
@@ -345,13 +351,16 @@ class TestDispatchPaths:
                 got = run_all()
         else:
             got = run_all()
+        assert dispatched[1] == 0 and dispatched[4] > 1
         for path, results in got.items():
             _assert_identical(results, want)
 
     def test_single_group_shards_across_workers(self):
         # The old dispatcher fell back to a serial loop whenever the
-        # batch was one structural group; it must now shard the tensor.
-        problems = self._group()
+        # batch was one structural group; it must now shard the tensor
+        # once the group is worth cutting (a 12-dim group of 48 is).
+        problems = _group("diag_quadratic", 1, boxed=False, seed=23, n=12,
+                          members=48)
         want = compute_radii(problems, method="bisection", seed=3,
                              cache=False)
         with ParallelExecutor(4) as pool, observing() as obs:

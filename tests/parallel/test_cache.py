@@ -239,15 +239,17 @@ class TestCascadeKeying:
     def _analysis(cache, cascade=None) -> RobustnessAnalysis:
         rng = np.random.default_rng(11)
         a = rng.standard_normal((4, 4))
-        mapping = QuadraticMapping(a @ a.T + np.eye(4))  # full: numeric tier
+        mapping = QuadraticMapping(a @ a.T + np.eye(4))
         origin = np.abs(rng.standard_normal(4)) + 0.5
         spec = FeatureSpec(PerformanceFeature(
             "f", ToleranceBounds.relative(mapping.value(origin), 1.2)),
             mapping)
+        # The physical box keeps the quadratic on the seeded numeric tier
+        # (unboxed, it would take the exact ellipsoid projection).
         return RobustnessAnalysis(
-            [spec], [PerturbationParameter("x", origin)],
-            weighting=IdentityWeighting(), seed=11, radius_cache=cache,
-            cascade=cascade)
+            [spec], [PerturbationParameter("x", origin, lower=np.zeros(4))],
+            weighting=IdentityWeighting(), respect_physical_bounds=True,
+            seed=11, radius_cache=cache, cascade=cascade)
 
     def test_plain_solve_is_not_served_a_cascade_answer(self):
         fresh = self._analysis(False).radius("f")

@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.features import ToleranceBounds
 from repro.core.mappings import CallableMapping, LinearMapping, QuadraticMapping
-from repro.core.radius import RadiusProblem, compute_radii
+from repro.core.radius import RadiusProblem, compute_radii, compute_radius
 from repro.observability import observing
 from repro.parallel.cache import (
     get_default_cache,
@@ -28,6 +28,7 @@ from repro.parallel.cache import (
     uninstall_default_cache,
 )
 from repro.parallel.executor import ParallelExecutor
+from repro.resilience.supervisor import SupervisedExecutor
 from repro.service import RadiusService, ServiceConfig, assert_no_leaked_segments
 from repro.service.shm import BatchShard, SharedProblemBatch
 
@@ -118,6 +119,43 @@ class TestOneDispatch:
         kinds = [e.kind for e in obs.events.events()]
         assert kinds.count("service.shm_publish") == 1
         assert kinds.count("service.shm_unlink") == 1
+
+    def test_lone_shard_publishes_only_when_pooled(self):
+        # A plain executor runs a one-task batch in-process, so nothing
+        # is published and the batch carries no shard tags; a supervised
+        # one still ships it to its pool.
+        [problem] = _bisection_problems(1)
+        want = compute_radius(problem, seed=5, cache=False)
+        for executor, published in ((ParallelExecutor(2), 0),
+                                    (SupervisedExecutor(2), 1)):
+            with executor, observing() as obs:
+                got = compute_radii([problem], seed=5, cache=False,
+                                    executor=executor)
+            assert _canonical(got) == _canonical([want])
+            kinds = [e.kind for e in obs.events.events()]
+            assert kinds.count("service.shm_publish") == published
+            assert executor.stats()["dispatched"] == published
+            [batch] = [s for s in obs.recorder.spans()
+                       if s.name == "radius.batch"]
+            assert batch.tags.get("shards", 0) == published
+            assert len(batch.tags.get("shard_cost_ms", [])) == published
+
+    def test_cheap_lone_group_is_cut_only_for_a_shipping_pool(self):
+        # A supervised pool ships even an uncut group, so cutting costs
+        # only a task on the idle worker; a plain executor would solve
+        # the uncut group in-process, which a cheap group does not repay.
+        problems = _bisection_problems(4)
+        want = compute_radii(problems, seed=5, cache=False)
+        for executor, tasks in ((SupervisedExecutor(2), 2),
+                                (ParallelExecutor(2), 0)):
+            with executor, observing() as obs:
+                got = compute_radii(problems, seed=5, cache=False,
+                                    executor=executor)
+            assert _canonical(got) == _canonical(want)
+            [batch] = [s for s in obs.recorder.spans()
+                       if s.name == "radius.batch"]
+            assert batch.tags.get("shards", 0) == tasks
+            assert executor.stats()["dispatched"] == tasks
 
     def test_single_worker_service_solves_on_the_dispatcher(self):
         problems = _bisection_problems(4)
