@@ -7,11 +7,16 @@ its geometry with its neighbours: the mappings, origins, boxes, and norm
 are fixed and only the tolerance bounds move.  :func:`degradation_curve`
 exploits that by grouping the sweep into *problem families* (one per
 feature, plus one per feature x parameter for radius-dependent
-weightings), walking each family's operating points in order, and
-threading a :class:`~repro.core.solvers.warm.WarmStart` through the
-walk so each solve replays the previous point's ray probes instead of
-re-evaluating the mapping.  Warm-started radii are bit-identical to
-cold solves (pinned by ``tests/core/test_warm_solvers.py`` and
+weightings), walking each family's operating points in order.  Under a
+stateless seed a family whose points share a directional tier (bisection
+or numeric) is solved as one
+:class:`~repro.core.solvers.tensor.ProblemTensor` group: one lock-step
+expansion and one batched refinement for the whole walk.  A bisection family also threads a
+:class:`~repro.core.solvers.warm.WarmStart` through the walk, so each
+bound replays the previous points' ray probes instead of re-evaluating
+the mapping; the numeric tier keeps no warm state.  Family and warm
+radii are bit-identical to cold per-point solves (pinned by
+``tests/core/test_warm_solvers.py`` and
 ``tests/analysis/test_degradation.py``), so cache entries, reports, and
 goldens are unaffected — the sweep is just cheaper.
 
@@ -123,13 +128,13 @@ def _walk_family(
     results: list[RadiusResult] | None = None
     if len(items) >= 2 and not isinstance(seed, np.random.Generator):
         # A family shares its whole geometry across points — exactly one
-        # ProblemTensor group.  Bisection-tier families ride the tensor
-        # kernel: one flattened expansion (or one warm-table replay) and
-        # one batched refinement for the entire walk, with the same
-        # warm-start accounting the per-point path keeps per bound.  The
-        # points keep compute_radius's cache pass; the misses are solved
-        # as one tensor, whose warm ray table binds the shared geometry
-        # exactly as the per-point walk would bind it.
+        # ProblemTensor group.  Directional families ride the tensor
+        # kernel: one flattened expansion (or, bisection tier, one
+        # warm-table replay) and one batched refinement for the entire
+        # walk, with the same warm-start accounting the per-point path
+        # keeps per bound.  The points keep compute_radius's cache pass;
+        # the misses are solved as one tensor, whose warm ray table binds
+        # the shared geometry exactly as the per-point walk would bind it.
         from repro.core.solvers.tensor import (
             ProblemTensor,
             solve_problem_tensor,
@@ -137,8 +142,7 @@ def _walk_family(
 
         problems = [problem for _, problem in items]
         keys = {ProblemTensor.batch_key(p, method) for p in problems}
-        key = keys.pop() if len(keys) == 1 else None
-        if key is not None and key[0][0] == "bisection":
+        if len(keys) == 1 and None not in keys:
             with span("curve.family", family=family, points=len(items)):
                 results = _cache_pass(
                     problems,
@@ -213,10 +217,11 @@ def degradation_curve(
     (by default to ``<-inf, beta * phi_orig>``, the paper's relative
     requirement for upper-bounded features) and the robustness metric is
     recomputed.  Neighbouring operating points share all solver geometry,
-    so each per-family walk threads a
-    :class:`~repro.core.solvers.warm.WarmStart` through its solves:
-    bisection brackets replay the previous points' ray probes, numeric
-    multistarts are seeded through the same table, and the results are
+    so under a stateless seed a directional family is solved as one
+    tensor group (one lock-step expansion and one batched refinement for
+    the walk), and a bisection family also threads a
+    :class:`~repro.core.solvers.warm.WarmStart` through its solves, its
+    brackets replaying the previous points' ray probes.  The results are
     **bit-identical** to cold solves — a 100-point sweep costs about a
     handful of cold solves in mapping evaluations.
 

@@ -584,7 +584,8 @@ def _cmd_bench_solvers(args) -> int:
     print(f"identical results: {payload['identical']}")
     print(f"written to {args.out}")
     ok = (payload["identical"] and bis["speedup"] > 1.0
-          and bis["eval_reduction"] >= 5.0)
+          and bis["eval_reduction"] >= 5.0
+          and grad["eval_reduction"] >= 5.0)
     return 0 if ok else 1
 
 

@@ -25,7 +25,7 @@ from repro.core.mappings import (
 )
 
 __all__ = ["as_linear", "as_ellipsoid", "as_diagonal_quadratic",
-           "EllipsoidFrame", "FRAME_RTOL", "BoundaryCrossing"]
+           "EllipsoidFrame", "FRAME_RTOL", "LEVEL_RTOL", "BoundaryCrossing"]
 
 
 def as_linear(mapping: FeatureMapping) -> LinearMapping | None:
@@ -90,6 +90,10 @@ def _as_quadratic(mapping: FeatureMapping) -> QuadraticMapping | None:
 #: may add to a radius before :meth:`EllipsoidFrame.holds` refuses it.
 FRAME_RTOL = 1e-9
 
+#: Every ellipsoid witness lies on its level set within this relative
+#: tolerance, ``|f(x*) - b| <= LEVEL_RTOL * (1 + |b|)``.
+LEVEL_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class EllipsoidFrame:
@@ -122,17 +126,25 @@ class EllipsoidFrame:
     def holds(self, origin: np.ndarray, levels) -> bool:
         """Whether the frame's arithmetic keeps the projection of
         ``origin`` onto each level set ``f = b`` (``b`` in ``levels``)
-        exact.
+        exact, and its witness on the level.
 
         An identity frame computes nothing new and always holds.  Else
-        ``x0 - m`` and ``V y* + m`` are rounded at about ``n eps (|m| +
-        |x0 - m|)``, which must stay within :data:`FRAME_RTOL` of a lower
-        bound on each distance: from ``|f(x) - f(x0)| <= g |x - x0| +
-        d_max |x - x0|^2`` (``g = |grad f(x0)|``), no point of ``f = b``
-        is closer than the root ``rho`` of ``d_max rho^2 + g rho =
-        |b - f(x0)|``.  A centre far beyond the problem's own scale (a
-        nearly flat axis under a linear term) fails this and the problem
-        stays numeric.
+        ``x0 - m`` and ``V y* + m`` are rounded at about ``err = n eps
+        (|m| + |x0 - m|)``, and the frame holds only if, for each level:
+
+        * ``err`` stays within :data:`FRAME_RTOL` of a lower bound on the
+          distance: from ``|f(x) - f(x0)| <= g |x - x0| + d_max |x -
+          x0|^2`` (``g = |grad f(x0)|``), no point of ``f = b`` is closer
+          than the root ``rho`` of ``d_max rho^2 + g rho = |b - f(x0)|``;
+        * ``err`` moves ``f`` at the witness by at most
+          :data:`LEVEL_RTOL` ``(1 + |b|)``, the miss
+          :func:`~repro.core.solvers.ellipsoid.solve_ellipsoid_frame`
+          refuses beyond.  The witness's gradient is at most ``g + 2
+          d_max R``, with ``R`` an upper bound on the distance: that of
+          the level's point on the ray from the centre through ``x0``.
+
+        A centre far beyond the problem's own scale (a nearly flat axis
+        under a linear term) fails this and the problem stays numeric.
         """
         if self.rotation is None:
             return True
@@ -140,13 +152,24 @@ class EllipsoidFrame:
         f0 = self.source.value(origin)
         g = float(np.linalg.norm(self.source.gradient(origin)))
         d_max = float(self.diagonal.quadratic[-1, -1])
+        reach = float(np.linalg.norm(origin - self.centre))
         err = origin.size * np.finfo(np.float64).eps * float(
-            np.linalg.norm(self.centre) + np.linalg.norm(origin - self.centre))
+            np.linalg.norm(self.centre) + reach)
+        # f along the ray m + s (x0 - m) is c' + s^2 (f(x0) - c').
+        lowest = self.diagonal.constant
         for b in levels:
             gap = abs(float(b) - f0)
             rho = 2.0 * gap / (g + math.sqrt(g * g + 4.0 * d_max * gap)) \
                 if gap > 0.0 else 0.0
             if err > FRAME_RTOL * rho:
+                return False
+            level = float(b) - lowest
+            if level <= 0.0:
+                continue  # an empty level set: no witness to check
+            reach_b = math.sqrt(level / (f0 - lowest)) * reach \
+                if f0 > lowest else math.sqrt(level / d_max)
+            if err * (g + 2.0 * d_max * abs(reach_b - reach)) \
+                    > LEVEL_RTOL * (1.0 + abs(float(b))):
                 return False
         return True
 

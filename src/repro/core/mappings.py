@@ -80,16 +80,6 @@ class FeatureMapping(abc.ABC):
     def value(self, x: np.ndarray) -> float:
         """Evaluate ``f(x)`` for a single input vector."""
 
-    def value_many(self, xs: np.ndarray) -> np.ndarray:
-        """Evaluate ``f`` for a batch of row vectors (shape ``(m, n)``).
-
-        The Monte-Carlo validator and the sampling solver call this with
-        tens of thousands of rows.  It is :meth:`value_rows`, so every
-        mapping has one batched kernel, and a batch evaluates row for row
-        exactly like :meth:`value`.
-        """
-        return self.value_rows(xs)
-
     def value_rows(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate ``f`` for a batch of rows, **row-exact**.
 
@@ -105,21 +95,6 @@ class FeatureMapping(abc.ABC):
     def gradient(self, x: np.ndarray) -> np.ndarray | None:
         """Analytic gradient ``df/dx`` at ``x``, or ``None`` if unavailable."""
         return None
-
-    def gradient_many(self, xs: np.ndarray) -> np.ndarray | None:
-        """Gradients for a batch of row vectors (shape ``(m, n)``), or
-        ``None`` when no analytic gradient exists.
-
-        The base implementation loops over :meth:`gradient`; subclasses
-        with closed forms override it with a single vectorised
-        expression so batched kernels can consume whole Jacobian stacks
-        without Python-level per-row dispatch.
-        """
-        xs = as_2d_float_array(xs, name="xs")
-        grads = [self.gradient(row) for row in xs]
-        if any(g is None for g in grads):
-            return None
-        return np.array(grads, dtype=np.float64)
 
     def structure_key(self) -> tuple | None:
         """A stable fingerprint of the mapping's exact structure, or ``None``.
@@ -175,10 +150,6 @@ class LinearMapping(FeatureMapping):
     def gradient(self, x: np.ndarray) -> np.ndarray:
         self._check_input(x)
         return self.coefficients.copy()
-
-    def gradient_many(self, xs: np.ndarray) -> np.ndarray:
-        xs = self._check_input(as_2d_float_array(xs, name="xs"))
-        return np.tile(self.coefficients, (xs.shape[0], 1))
 
     def boundary_hyperplane(self, bound: float) -> tuple[np.ndarray, float]:
         """The boundary set ``{x : f(x) = bound}`` as ``(normal, offset)``.
@@ -241,11 +212,6 @@ class QuadraticMapping(FeatureMapping):
         x = self._check_input(x)
         return 2.0 * (self.quadratic @ x) + self.linear
 
-    def gradient_many(self, xs: np.ndarray) -> np.ndarray:
-        xs = self._check_input(as_2d_float_array(xs, name="xs"))
-        # Q is symmetrised on construction, so xs @ Q == (Q @ x)' rowwise.
-        return 2.0 * (xs @ self.quadratic) + self.linear
-
     def structure_key(self) -> tuple:
         return ("quadratic", self.quadratic.tobytes(), self.linear.tobytes(),
                 self.constant)
@@ -300,12 +266,6 @@ class ProductMapping(FeatureMapping):
         self._check_positive(x)
         f = self.value(x)
         return f * self.powers / x
-
-    def gradient_many(self, xs: np.ndarray) -> np.ndarray:
-        xs = self._check_input(as_2d_float_array(xs, name="xs"))
-        self._check_positive(xs)
-        f = self.value_many(xs)
-        return f[:, None] * self.powers / xs
 
     def structure_key(self) -> tuple:
         return ("product", self.powers.tobytes(), self.coefficient)
@@ -412,25 +372,6 @@ class MaxMapping(FeatureMapping):
         comp = self.components[self.argmax_component(x)]
         return comp.gradient(x)
 
-    def gradient_many(self, xs: np.ndarray) -> np.ndarray | None:
-        """Per-row gradient of the active component (subgradients at ties).
-
-        One batched ``value_many`` pass per component finds the active
-        components; each component then computes gradients only for the
-        rows it wins.
-        """
-        xs = self._check_input(as_2d_float_array(xs, name="xs"))
-        vals = np.stack([comp.value_many(xs) for comp in self.components])
-        winners = np.argmax(vals, axis=0)
-        out = np.empty_like(xs)
-        for ci in np.unique(winners):
-            rows = winners == ci
-            g = self.components[ci].gradient_many(xs[rows])
-            if g is None:
-                return None
-            out[rows] = g
-        return out
-
     def structure_key(self) -> tuple | None:
         keys = [comp.structure_key() for comp in self.components]
         if any(k is None for k in keys):
@@ -479,13 +420,6 @@ class SumMapping(FeatureMapping):
 
     def gradient(self, x: np.ndarray) -> np.ndarray | None:
         grads = [comp.gradient(x) for comp in self.components]
-        if any(g is None for g in grads):
-            return None
-        return np.sum(grads, axis=0)
-
-    def gradient_many(self, xs: np.ndarray) -> np.ndarray | None:
-        xs = self._check_input(as_2d_float_array(xs, name="xs"))
-        grads = [comp.gradient_many(xs) for comp in self.components]
         if any(g is None for g in grads):
             return None
         return np.sum(grads, axis=0)
@@ -560,12 +494,6 @@ class RestrictedMapping(FeatureMapping):
             return None
         return g[self.free_indices]
 
-    def gradient_many(self, ys: np.ndarray) -> np.ndarray | None:
-        g = self.base.gradient_many(self.embed_many(ys))
-        if g is None:
-            return None
-        return g[:, self.free_indices]
-
     def structure_key(self) -> tuple | None:
         base_key = self.base.structure_key()
         if base_key is None:
@@ -614,13 +542,6 @@ class ReweightedMapping(FeatureMapping):
     def gradient(self, p: np.ndarray) -> np.ndarray | None:
         p = self._check_input(p)
         g = self.base.gradient(p / self.alphas)
-        if g is None:
-            return None
-        return g / self.alphas
-
-    def gradient_many(self, ps: np.ndarray) -> np.ndarray | None:
-        ps = self._check_input(as_2d_float_array(ps, name="ps"))
-        g = self.base.gradient_many(ps / self.alphas)
         if g is None:
             return None
         return g / self.alphas

@@ -202,8 +202,8 @@ _CLOSED_FORM = frozenset({"analytic", "analytic-box", "ellipsoid"})
 #: One solver per tier, called as ``(problem, form, bound, seed, warm)``.
 #: ``form`` is the affine view or the ellipsoid frame the closed-form tiers
 #: solve over (see :func:`_tier_ladder`); ``warm`` is an optional
-#: :class:`~repro.core.solvers.warm.WarmStart` the directional tiers replay
-#: (the closed forms have nothing to warm).
+#: :class:`~repro.core.solvers.warm.WarmStart` the bisection tier replays
+#: (the other tiers keep no warm state).
 _SOLVERS = {
     "analytic": lambda p, form, b, seed, warm: solve_linear_radius(
         form, p.origin, b, norm=p.norm, lower=p.lower, upper=p.upper),
@@ -212,8 +212,7 @@ _SOLVERS = {
     "ellipsoid": lambda p, form, b, seed, warm: solve_ellipsoid_frame(
         form, p.origin, b),
     "numeric": lambda p, form, b, seed, warm: solve_numeric_radius(
-        p.mapping, p.origin, b, lower=p.lower, upper=p.upper, seed=seed,
-        warm=warm),
+        p.mapping, p.origin, b, lower=p.lower, upper=p.upper, seed=seed),
     "bisection": lambda p, form, b, seed, warm: solve_bisection_radius(
         p.mapping, p.origin, b, norm=p.norm, lower=p.lower, upper=p.upper,
         seed=seed, warm=warm),
@@ -451,7 +450,7 @@ def compute_radius(problem: RadiusProblem, *, method: Method = "auto",
         Optional :class:`~repro.core.solvers.warm.WarmStart` shared by a
         family of solves that differ only in their bounds (a degradation
         curve walking one problem through its operating points).  The
-        directional solvers replay memoised ray probes instead of
+        bisection tier replays memoised ray probes instead of
         re-evaluating the mapping; results are bit-identical to cold
         solves, which is why warm state never enters cache keys — a
         warm-started solve records (and hits) the *same*

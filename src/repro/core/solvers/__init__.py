@@ -9,18 +9,15 @@ Four complementary strategies:
   SciPy (SLSQP / trust-constr) and multistart, for general smooth features;
 * :mod:`repro.core.solvers.bisection` — directional root-bracketing along
   rays; derivative-free, yields rigorous *upper* bounds that tighten with
-  the number of directions;
+  the number of directions, and holds the directional kernel every
+  directional search shares;
 * :mod:`repro.core.solvers.sampling` — Monte-Carlo violation search used by
   the validation harness.
 """
 
 from repro.core.solvers.analytic import solve_linear_radius
 from repro.core.solvers.numeric import solve_numeric_radius
-from repro.core.solvers.bisection import (
-    directional_crossing,
-    directional_crossings,
-    solve_bisection_radius,
-)
+from repro.core.solvers.bisection import solve_bisection_radius
 from repro.core.solvers.sampling import sampling_upper_bound
 from repro.core.solvers.warm import RayTable, WarmStart, is_ray_convex
 
@@ -28,8 +25,6 @@ __all__ = [
     "solve_linear_radius",
     "solve_numeric_radius",
     "solve_bisection_radius",
-    "directional_crossing",
-    "directional_crossings",
     "sampling_upper_bound",
     "RayTable",
     "WarmStart",

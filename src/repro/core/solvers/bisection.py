@@ -1,4 +1,4 @@
-"""Directional root-bracketing radius solver.
+"""Directional root-bracketing radius solver, and the directional kernel.
 
 Along a ray ``x(t) = x0 + t d`` with ``||d||_p = 1``, the feature value is a
 scalar function ``h(t) = f(x(t)) - bound`` with ``h(0) != 0`` (the original
@@ -12,21 +12,34 @@ This solver is derivative-free and therefore works with any
 :class:`~repro.core.mappings.CallableMapping`; it also seeds the numeric
 projection solver with good starting points.
 
-Two equivalent kernels compute the crossings:
+Every directional search in the package runs through the one kernel
+defined here, over a group of *units* — ``(problem, bound)`` pairs
+sharing a mapping and a direction matrix:
 
-* :func:`directional_crossing` — the scalar reference: one direction at a
-  time, one ``mapping.value`` call per bracket-expansion step;
-* :func:`directional_crossings` — the batched kernel: every direction's
-  bracket advances in lock-step, one ``mapping.value_rows`` call per
-  iteration over the still-active directions.
+* the probe schedule (``_T_MAX``, ``_T_INIT``, ``_XTOL`` and the
+  direction counts) and one direction builder per tier
+  (:func:`_bisection_directions`, :func:`_numeric_directions`);
+* :func:`_expand_units` — the lock-step bracket expansion: every unit's
+  every ray advances one rung per iteration, and one row-exact
+  ``mapping.value_rows`` call evaluates all of them;
+* :func:`_refine_brackets` — the batched crossing refinement through
+  :func:`~repro.core.solvers.brent.batched_brentq`, whose roots are
+  ``scipy.optimize.brentq``'s floats on the same brackets.
 
-The batched kernel only replaces *where* the bracket probes are evaluated
-(a vectorised batch instead of a Python loop).  ``value_rows`` is
-row-exact — each row's float is ``mapping.value``'s — so the probe
-parameters, the sign decisions they feed, and the final Brent refinement
-(scalar ``mapping.value`` calls here; lock-step in the tensor kernel)
-are the same arithmetic, and the two kernels return bit-identical
-crossings — a contract pinned by ``tests/core/test_solver_kernels.py``.
+The tensor kernel (:mod:`repro.core.solvers.tensor`) runs whole groups
+through it.  A lone problem is a group of one: the cold bracket location
+of :func:`solve_bisection_radius`, the numeric tier's SLSQP seed
+crossings (:func:`_ray_crossings`) and the ray fan of
+:func:`~repro.reporting.figures.boundary_figure`.  Only the refinement of
+:func:`solve_bisection_radius` stays per problem: a scalar Brent scan that
+prunes brackets which can no longer win, or, warm, a convexity
+certificate (:func:`_refine_with_certificate`).
+
+``value_rows`` is row-exact — each row's float is ``mapping.value``'s —
+so the kernel makes the scalar reference's decisions from the scalar
+reference's floats, and its crossings are bit-identical to the
+per-direction scalar loop kept in :mod:`repro.core.solvers.bench` — a
+contract pinned by ``tests/core/test_solver_kernels.py``.
 """
 
 from __future__ import annotations
@@ -38,41 +51,65 @@ from scipy.optimize import brentq
 
 from repro.core.boundary import BoundaryCrossing
 from repro.core.mappings import FeatureMapping
+from repro.core.solvers.brent import batched_brentq
 from repro.exceptions import BoundaryNotFoundError, SpecificationError
 from repro.observability import get_metrics
 from repro.utils.linalg import sample_on_sphere
 from repro.utils.rng import default_rng
 
-__all__ = [
-    "directional_crossing",
-    "directional_crossings",
-    "solve_bisection_radius",
-]
+__all__ = ["solve_bisection_radius"]
 
 logger = logging.getLogger(__name__)
 
+#: The directional probe schedule: a ray ends at ``_T_MAX`` (or its box
+#: exit), its first probe sits at ``_T_INIT`` and each next one four times
+#: further out, and Brent stops at ``_XTOL``.
+_T_MAX = 1e6
+_T_INIT = 1e-3
+_XTOL = 1e-12
+#: Random rays beyond the ``2n`` signed axes: the bisection tier's, and
+#: the numeric tier's seeding pre-pass's.
+_N_RANDOM_DIRECTIONS = 128
+_N_SEED_DIRECTIONS = 32
 
-def _ray_exit_t(origin: np.ndarray, direction: np.ndarray,
-                lower: np.ndarray | None, upper: np.ndarray | None,
-                t_max: float) -> float:
-    """Largest ``t`` such that ``origin + t*direction`` stays in the box."""
-    t_exit = float(t_max)
-    for bound, side in ((lower, -1.0), (upper, 1.0)):
-        if bound is None:
-            continue
-        slack = side * (np.asarray(bound) - origin)
-        move = side * direction
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ts = np.where(move > 0, slack / move, np.inf)
-        t_exit = min(t_exit, float(np.min(ts)))
-    return max(t_exit, 0.0)
+
+def _bisection_directions(n: int, norm, seed,
+                          n_random: int = _N_RANDOM_DIRECTIONS,
+                          include_axes: bool = True) -> np.ndarray:
+    """The bisection tier's rays: the ``2n`` signed axes (optional) plus
+    ``n_random`` sphere samples drawn from ``seed``, each normalised to
+    unit length in the distance norm so a crossing's ray parameter is its
+    distance.  A stateless seed gives every member of a group the same
+    matrix."""
+    rng = default_rng(seed)
+    dirs = []
+    if include_axes:
+        eye = np.eye(n)
+        dirs.append(eye)
+        dirs.append(-eye)
+    if n_random > 0:
+        dirs.append(sample_on_sphere(rng, n_random, n))
+    directions = np.vstack(dirs)
+    p = np.inf if norm in (np.inf, "inf") else norm
+    norms = np.linalg.norm(directions, ord=p, axis=1, keepdims=True)
+    return directions / norms
+
+
+def _numeric_directions(n: int, seed,
+                        n_seed: int = _N_SEED_DIRECTIONS) -> np.ndarray:
+    """The numeric tier's seeding rays (unnormalised): the signed axes plus
+    ``n_seed`` sphere samples.  ``seed`` may be the solver's own
+    generator, whose stream then continues into the multistart."""
+    rng = default_rng(seed)
+    return np.vstack([np.eye(n), -np.eye(n),
+                      sample_on_sphere(rng, n_seed, n)])
 
 
 def _ray_exit_ts(origin: np.ndarray, directions: np.ndarray,
                  lower: np.ndarray | None, upper: np.ndarray | None,
                  t_max: float) -> np.ndarray:
-    """Per-direction box-exit parameters, elementwise-identical to
-    :func:`_ray_exit_t` (same divisions, same exact min reductions)."""
+    """Per-direction box-exit parameters: the largest ``t`` such that
+    ``origin + t*direction`` stays in the box, capped at ``t_max``."""
     t_exit = np.full(directions.shape[0], float(t_max))
     for bound, side in ((lower, -1.0), (upper, 1.0)):
         if bound is None:
@@ -85,75 +122,6 @@ def _ray_exit_ts(origin: np.ndarray, directions: np.ndarray,
     return np.maximum(t_exit, 0.0)
 
 
-def directional_crossing(
-    mapping: FeatureMapping,
-    origin: np.ndarray,
-    direction: np.ndarray,
-    bound: float,
-    *,
-    t_max: float = 1e6,
-    t_init: float = 1e-3,
-    lower: np.ndarray | None = None,
-    upper: np.ndarray | None = None,
-    xtol: float = 1e-12,
-) -> float | None:
-    """Distance ``t`` of the first boundary crossing along a unit ray.
-
-    Parameters
-    ----------
-    mapping, origin, bound:
-        The feature, the original point, and the bound defining the boundary.
-    direction:
-        Ray direction; the caller is responsible for normalising it in the
-        norm that distances are measured in, so the return value *is* the
-        distance.
-    t_max:
-        Give up beyond this ray parameter.
-    t_init:
-        Initial bracket-expansion step.
-    lower, upper:
-        Optional reachability box; crossings beyond the box exit are
-        ignored (they are not physically reachable perturbations).
-    xtol:
-        Brent tolerance.
-
-    Returns
-    -------
-    float or None
-        The crossing distance, or ``None`` if the feature does not cross
-        ``bound`` along this ray within the reachable segment.
-    """
-    origin = np.asarray(origin, dtype=np.float64)
-    direction = np.asarray(direction, dtype=np.float64)
-
-    def h(t: float) -> float:
-        return mapping.value(origin + t * direction) - bound
-
-    h0 = h(0.0)
-    if h0 == 0.0:
-        return 0.0
-    t_stop = _ray_exit_t(origin, direction, lower, upper, t_max)
-    if t_stop <= 0.0:
-        return None
-    t_lo, t_hi = 0.0, min(t_init, t_stop)
-    # Geometric bracket expansion until the sign flips or the segment ends.
-    # A mapping with a restricted domain (e.g. ProductMapping needs positive
-    # inputs) raises once the ray leaves it; the ray effectively ends there.
-    while True:
-        try:
-            h_hi = h(t_hi)
-        except SpecificationError:
-            return None
-        if h0 * h_hi <= 0.0:
-            break
-        if t_hi >= t_stop:
-            return None
-        t_lo, t_hi = t_hi, min(4.0 * t_hi, t_stop)
-    if h_hi == 0.0:
-        return float(t_hi)
-    return float(brentq(h, t_lo, t_hi, xtol=xtol))
-
-
 def _batch_values(mapping: FeatureMapping,
                   points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate raw ``f`` for a batch of probe points.
@@ -164,10 +132,10 @@ def _batch_values(mapping: FeatureMapping,
     probes, lock-step Brent steps — sees ``mapping.value``'s float for
     each row.  A mapping with a restricted domain raises
     :class:`SpecificationError` for the *whole* batch when any row has
-    left it; the scalar kernel instead drops only the offending
+    left it; the scalar reference instead drops only the offending
     directions, so on such a failure the batch degrades to per-row
     scalar evaluation and marks the out-of-domain rows — preserving the
-    scalar kernel's per-direction semantics exactly.
+    per-direction semantics exactly.
 
     Callers subtract the bound themselves: the raw values are what the
     warm-start :class:`~repro.core.solvers.warm.RayTable` memoises
@@ -194,6 +162,162 @@ def _batch_values(mapping: FeatureMapping,
     return values, np.ones(points.shape[0], dtype=bool)
 
 
+# ---------------------------------------------------------------------------
+# the directional kernel: lock-step expansion and batched refinement
+
+
+def _expand_units(mapping, origins, directions, units, h0s, t_stops):
+    """Lock-step bracket expansion over a flattened
+    ``(problem, bound) x direction`` point tensor.
+
+    ``units`` lists ``(problem_index, bound_index, bound)`` rows; ``h0s``
+    their scalar ``f(x0) - b`` values; ``t_stops`` their per-direction
+    box exits.  Each ray probes ``t_1 = min(_T_INIT, t_stop)``,
+    ``t_{k+1} = min(4 t_k, t_stop)`` until ``h`` changes sign, leaves the
+    mapping's domain (no crossing, as a scalar ``SpecificationError``
+    would end the ray) or reaches its stop.  Each iteration evaluates
+    every still-active ray's probe point — across *all* units — with one
+    row-exact ``value_rows`` call, so the Python-level evaluation cost is
+    ``O(iterations)`` instead of ``O(units x directions x iterations)``.
+
+    Returns the flat bracket arrays ``(unit, row, lo, hi, h_hi)``, one
+    entry per ray whose sign flipped, in no particular order.
+    """
+    m = directions.shape[0]
+    n_units = len(units)
+    total = n_units * m
+    unit_of = np.repeat(np.arange(n_units), m)
+    row_of = np.tile(np.arange(m), n_units)
+    p_of = np.repeat(np.asarray([u[0] for u in units], dtype=np.intp), m)
+    beta_of = np.repeat(np.asarray([u[2] for u in units], dtype=np.float64),
+                        m)
+    h0_of = np.repeat(np.asarray(h0s, dtype=np.float64), m)
+    t_stop = np.concatenate(t_stops)
+
+    active = t_stop > 0.0
+    t_lo = np.zeros(total)
+    t_hi = np.minimum(_T_INIT, t_stop)
+    hits: list[np.ndarray] = [np.empty(0, dtype=np.intp)]
+    h_hits: list[np.ndarray] = [np.empty(0)]
+    idx_all = np.arange(total)
+    while np.any(active):
+        rows = idx_all[active]
+        points = origins[p_of[rows]] + t_hi[rows, None] * directions[row_of[rows]]
+        values, in_domain = _batch_values(mapping, points)
+        h_hi = values - beta_of[rows]
+        # Out-of-domain probes end their rays: no crossing.
+        active[rows[~in_domain]] = False
+        with np.errstate(invalid="ignore"):
+            flipped = in_domain & (h0_of[rows] * h_hi <= 0.0)
+        # A flipped ray stops here, so its t_lo/t_hi stay as they are.
+        hits.append(rows[flipped])
+        h_hits.append(h_hi[flipped])
+        active[rows[flipped]] = False
+        # Directions at the segment end without a sign flip: no crossing.
+        exhausted = active[rows] & (t_hi[rows] >= t_stop[rows])
+        active[rows[exhausted]] = False
+        still = idx_all[active]
+        t_lo[still] = t_hi[still]
+        t_hi[still] = np.minimum(4.0 * t_hi[still], t_stop[still])
+    ks = np.concatenate(hits)
+    return unit_of[ks], row_of[ks], t_lo[ks], t_hi[ks], np.concatenate(h_hits)
+
+
+def _refine_bracket(mapping: FeatureMapping, origin: np.ndarray,
+                    direction: np.ndarray, bound: float,
+                    lo: float, hi: float, h_hi: float) -> float:
+    """Scalar Brent refinement of one bracket through ``mapping.value``,
+    which raises exactly as SciPy does."""
+    if h_hi == 0.0:
+        return float(hi)
+
+    def h(t: float) -> float:
+        return mapping.value(origin + t * direction) - bound
+
+    return float(brentq(h, lo, hi, xtol=_XTOL))
+
+
+def _refine_brackets(mapping, origins, units, h0s, directions, brackets):
+    """Brent roots of every flat bracket, each ``scipy.optimize.brentq``'s
+    float on that bracket.
+
+    All brackets refine in lock-step through :func:`batched_brentq`, whose
+    evaluations go through the row-exact :func:`_batch_values`, so each
+    root *is* the scalar reference's float.  Rows the batched kernel
+    flags (``ok=False``: no sign change, or ``maxiter`` exhausted) re-run
+    through the scalar :func:`_refine_bracket`, which raises exactly as
+    SciPy does.
+    """
+    unit, row, lo, hi, f_hi = brackets
+    if unit.size == 0:
+        return np.empty(0)
+    p_b = np.asarray([pi for pi, _, _ in units], dtype=np.intp)[unit]
+    beta_b = np.asarray([b for _, _, b in units], dtype=np.float64)[unit]
+
+    def evaluate(ts, rows):
+        points = origins[p_b[rows]] + ts[:, None] * directions[row[rows]]
+        values, _ = _batch_values(mapping, points)
+        return values - beta_b[rows]
+
+    # Endpoint values: the expansion's h_hi floats on top, and a fresh
+    # batched round at the bottoms — except t=0 rows, whose value is the
+    # problem's h0 (the float scalar brentq computes there).
+    at_zero = lo == 0.0
+    f_lo = np.empty(lo.shape[0])
+    f_lo[at_zero] = np.asarray(h0s, dtype=np.float64)[unit[at_zero]]
+    inner = np.flatnonzero(~at_zero)
+    if inner.size:
+        f_lo[inner] = evaluate(lo[inner], inner)
+
+    roots, ok = batched_brentq(evaluate, lo, hi, f_lo, f_hi, xtol=_XTOL)
+    get_metrics().inc("solver.tensor_refined", lo.shape[0])
+    for k in np.flatnonzero(~ok):
+        roots[k] = _refine_bracket(mapping, origins[p_b[k]],
+                                   directions[row[k]], float(beta_b[k]),
+                                   float(lo[k]), float(hi[k]),
+                                   float(f_hi[k]))
+    return roots
+
+
+def _unit_crossings(mapping, origins, directions, units, h0s, t_stops):
+    """Every unit's crossing distance along every direction, as a
+    ``(units, directions)`` array: :func:`_expand_units`, then every
+    located bracket through :func:`_refine_brackets`.  ``nan`` marks a
+    ray that does not cross within its reachable segment; a unit whose
+    origin sits on its bound (``h0 == 0``) crosses at 0 on every ray."""
+    brackets = _expand_units(mapping, origins, directions, units, h0s,
+                             t_stops)
+    out = np.full((len(units), directions.shape[0]), np.nan)
+    out[brackets[0], brackets[1]] = _refine_brackets(
+        mapping, origins, units, h0s, directions, brackets)
+    out[np.asarray(h0s) == 0.0] = 0.0
+    return out
+
+
+def _ray_crossings(mapping: FeatureMapping, origin: np.ndarray,
+                   directions: np.ndarray, bound: float, *,
+                   t_max: float = _T_MAX,
+                   lower: np.ndarray | None = None,
+                   upper: np.ndarray | None = None) -> np.ndarray:
+    """One problem's crossing distance along each row of ``directions``
+    (``nan`` where ``f`` does not reach ``bound`` within the reachable
+    segment), through the group kernel as a group of one.
+
+    Each direction must be normalised in the distance norm for its
+    crossing parameter to be a distance.
+    """
+    origin = np.asarray(origin, dtype=np.float64)
+    directions = np.asarray(directions, dtype=np.float64)
+    h0 = mapping.value(origin) - bound
+    t_stop = _ray_exit_ts(origin, directions, lower, upper, t_max)
+    return _unit_crossings(mapping, origin[None], directions,
+                           [(0, 0, float(bound))], [h0], [t_stop])[0]
+
+
+# ---------------------------------------------------------------------------
+# the bisection tier, per problem
+
+
 def _directional_brackets(
     mapping: FeatureMapping,
     origin: np.ndarray,
@@ -201,22 +325,19 @@ def _directional_brackets(
     bound: float,
     *,
     t_max: float,
-    t_init: float,
     lower: np.ndarray | None,
     upper: np.ndarray | None,
     table=None,
 ) -> tuple[float, list[tuple[int, float, float, float]]]:
-    """Lock-step bracket expansion over rows of ``directions``.
+    """One problem's brackets over rows of ``directions``.
 
-    Each iteration evaluates the still-active directions' probe points
-    with a single ``mapping.value_rows`` call, so the Python-level
-    evaluation cost is ``O(iterations)`` instead of
-    ``O(directions x iterations)``.  Returns ``(h0, brackets)`` where
-    ``brackets`` holds one ``(row, t_lo, t_hi, h_hi)`` tuple per
-    direction whose bracket showed a sign change, sorted by ascending
-    ``(t_lo, row)`` — the order the pruned refinement in
-    :func:`solve_bisection_radius` consumes.  When ``h0 == 0.0`` the
-    origin itself is on the boundary and no expansion runs.
+    Returns ``(h0, brackets)`` where ``brackets`` holds one
+    ``(row, t_lo, t_hi, h_hi)`` tuple per direction whose bracket showed
+    a sign change, sorted by ascending ``(t_lo, row)`` — the order the
+    pruned refinement in :func:`solve_bisection_radius` consumes.  When
+    ``h0 == 0.0`` the origin itself is on the boundary and no expansion
+    runs.  Cold, the brackets come from :func:`_expand_units` over a
+    group of one.
 
     With a bound :class:`~repro.core.solvers.warm.RayTable` in ``table``,
     stored raw values replay the same expansion schedule without
@@ -224,7 +345,6 @@ def _directional_brackets(
     probes are only spent where a ladder runs out, and are recorded for
     the next bound.
     """
-    m = directions.shape[0]
     if table is not None:
         h0 = table.ensure_g0(mapping, origin) - bound
     else:
@@ -234,34 +354,11 @@ def _directional_brackets(
     t_stop = _ray_exit_ts(origin, directions, lower, upper, t_max)
     if table is not None:
         return h0, _brackets_from_table(mapping, origin, directions, bound,
-                                        h0, t_stop, t_init, table)
-    active = t_stop > 0.0
-    t_lo = np.zeros(m)
-    t_hi = np.minimum(t_init, t_stop)
-    brackets: list[tuple[int, float, float, float]] = []
-    idx_all = np.arange(m)
-    while np.any(active):
-        rows = idx_all[active]
-        points = origin + t_hi[rows, None] * directions[rows]
-        values, in_domain = _batch_values(mapping, points)
-        h_hi = values - bound
-        # Out-of-domain probes end their rays exactly like the scalar
-        # kernel's per-direction SpecificationError: no crossing.
-        active[rows[~in_domain]] = False
-        with np.errstate(invalid="ignore"):
-            flipped = in_domain & (h0 * h_hi <= 0.0)
-        for row, hv in zip(rows[flipped], h_hi[flipped]):
-            brackets.append((int(row), float(t_lo[row]), float(t_hi[row]),
-                             float(hv)))
-        active[rows[flipped]] = False
-        # Directions at the segment end without a sign flip: no crossing.
-        exhausted = active[rows] & (t_hi[rows] >= t_stop[rows])
-        active[rows[exhausted]] = False
-        still = idx_all[active]
-        t_lo[still] = t_hi[still]
-        t_hi[still] = np.minimum(4.0 * t_hi[still], t_stop[still])
-    brackets.sort(key=lambda b: (b[1], b[0]))
-    return h0, brackets
+                                        h0, t_stop, table)
+    _, row, lo, hi, h_hi = _expand_units(mapping, origin[None], directions,
+                                         [(0, 0, bound)], [h0], [t_stop])
+    return h0, [(int(row[k]), float(lo[k]), float(hi[k]), float(h_hi[k]))
+                for k in np.lexsort((row, lo))]
 
 
 def _brackets_from_table(
@@ -271,19 +368,19 @@ def _brackets_from_table(
     bound: float,
     h0: float,
     t_stop: np.ndarray,
-    t_init: float,
     table,
 ) -> list[tuple[int, float, float, float]]:
     """Bracket location that replays a ray table before evaluating.
 
-    Walks each ray's canonical probe grid — ``t_1 = min(t_init, t_stop)``,
-    ``t_{k+1} = min(4 t_k, t_stop)`` — consuming stored raw values first.
-    The sign test ``h0 * (g - bound) <= 0.0`` sees the same floats as the
-    cold batch (which computes ``values - bound`` elementwise), and a
-    stored ``nan`` terminates the ray exactly like the cold kernel's
-    out-of-domain deactivation, so the located brackets are identical to
-    a cold run's.  Rays whose ladders run out advance together through
-    batched fresh probes, each recorded in the table for the next bound.
+    Walks each ray's canonical probe grid — ``t_1 = min(_T_INIT,
+    t_stop)``, ``t_{k+1} = min(4 t_k, t_stop)`` — consuming stored raw
+    values first.  The sign test ``h0 * (g - bound) <= 0.0`` sees the same
+    floats as the cold batch (which computes ``values - bound``
+    elementwise), and a stored ``nan`` terminates the ray exactly like the
+    cold kernel's out-of-domain deactivation, so the located brackets are
+    identical to a cold run's.  Rays whose ladders run out advance
+    together through batched fresh probes, each recorded in the table for
+    the next bound.
     """
     brackets: list[tuple[int, float, float, float]] = []
     pending: list[int] = []
@@ -293,7 +390,7 @@ def _brackets_from_table(
         stop = float(t_stop[row])
         if not stop > 0.0:
             continue
-        t_lo, t_hi = 0.0, min(t_init, stop)
+        t_lo, t_hi = 0.0, min(_T_INIT, stop)
         ts, gs = table.ladder(row)
         resolved = False
         for g in gs:
@@ -342,68 +439,6 @@ def _brackets_from_table(
     return brackets
 
 
-def _refine_bracket(mapping: FeatureMapping, origin: np.ndarray,
-                    direction: np.ndarray, bound: float,
-                    lo: float, hi: float, h_hi: float, xtol: float) -> float:
-    """Brent refinement of one bracket — the same scalar ``mapping.value``
-    calls the scalar kernel makes on the same bracket, hence bit-identical
-    crossings."""
-    if h_hi == 0.0:
-        return float(hi)
-
-    def h(t: float) -> float:
-        return mapping.value(origin + t * direction) - bound
-
-    return float(brentq(h, lo, hi, xtol=xtol))
-
-
-def directional_crossings(
-    mapping: FeatureMapping,
-    origin: np.ndarray,
-    directions: np.ndarray,
-    bound: float,
-    *,
-    t_max: float = 1e6,
-    t_init: float = 1e-3,
-    lower: np.ndarray | None = None,
-    upper: np.ndarray | None = None,
-    xtol: float = 1e-12,
-    table=None,
-) -> np.ndarray:
-    """Batched :func:`directional_crossing` over rows of ``directions``.
-
-    Advances every direction's bracket in lock-step (see
-    :func:`_directional_brackets`), then refines every bracket with
-    scalar Brent — the same call the scalar kernel makes on the same
-    bracket, so the returned distances are bit-identical to calling
-    :func:`directional_crossing` per row.  ``table`` optionally threads a
-    :class:`~repro.core.solvers.warm.RayTable` into the bracket location
-    (the caller is responsible for having bound it to this geometry).
-
-    Returns
-    -------
-    numpy.ndarray
-        Crossing distance per direction; ``nan`` where the feature does
-        not cross ``bound`` within the reachable segment.
-    """
-    origin = np.asarray(origin, dtype=np.float64)
-    directions = np.asarray(directions, dtype=np.float64)
-    out = np.full(directions.shape[0], np.nan)
-    if directions.shape[0] == 0:
-        return out
-    h0, brackets = _directional_brackets(mapping, origin, directions, bound,
-                                         t_max=t_max, t_init=t_init,
-                                         lower=lower, upper=upper,
-                                         table=table)
-    if h0 == 0.0:
-        out[:] = 0.0
-        return out
-    for row, lo, hi, h_hi in brackets:
-        out[row] = _refine_bracket(mapping, origin, directions[row], bound,
-                                   lo, hi, h_hi, xtol)
-    return out
-
-
 def _refine_with_certificate(
     mapping: FeatureMapping,
     origin: np.ndarray,
@@ -411,7 +446,6 @@ def _refine_with_certificate(
     bound: float,
     brackets: list[tuple[int, float, float, float]],
     hint: int | None,
-    xtol: float = 1e-12,
 ) -> tuple[float, int]:
     """Warm bracket refinement for convex mappings on the upper-bound side.
 
@@ -440,7 +474,7 @@ def _refine_with_certificate(
                 cand = b
                 break
     t_cand = _refine_bracket(mapping, origin, directions[cand[0]], bound,
-                             cand[1], cand[2], cand[3], xtol)
+                             cand[1], cand[2], cand[3])
     best_t, best_row = t_cand, cand[0]
     t_guard = t_cand + 1e-9 * (1.0 + t_cand)
     must: list[tuple[int, float, float, float]] = []
@@ -461,7 +495,7 @@ def _refine_with_certificate(
                 must.append(b)
     for row, lo, hi, h_hi in must:
         t = _refine_bracket(mapping, origin, directions[row], bound,
-                            lo, hi, h_hi, xtol)
+                            lo, hi, h_hi)
         if t < best_t or (t == best_t and row < best_row):
             best_t, best_row = t, row
     if certified:
@@ -475,26 +509,25 @@ def solve_bisection_radius(
     bound: float,
     *,
     norm: float = 2,
-    n_random_directions: int = 128,
+    n_random_directions: int = _N_RANDOM_DIRECTIONS,
     include_axes: bool = True,
-    t_max: float = 1e6,
+    t_max: float = _T_MAX,
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
     seed=None,
-    batch: bool = True,
     warm=None,
 ) -> BoundaryCrossing:
     """Upper-bound the radius by the best crossing over many directions.
 
     Directions comprise the ``2n`` signed coordinate axes (optional) plus
     ``n_random_directions`` uniform sphere samples, each normalised to unit
-    length in ``norm`` so crossing parameters are distances.
-
-    ``batch=True`` (the default) advances every direction's bracket in
-    lock-step through :func:`directional_crossings` — one ``value_rows``
-    call per expansion step instead of one ``value`` call per direction
-    per step.  ``batch=False`` keeps the scalar reference kernel; the two
-    produce bit-identical results (pinned by
+    length in ``norm`` so crossing parameters are distances.  Every
+    direction's bracket advances in lock-step through the directional
+    kernel (:func:`_expand_units` over a group of one) — one
+    ``value_rows`` call per expansion step — and the brackets are refined
+    by a pruned scalar Brent scan.  The result is bit-identical to the
+    per-direction scalar loop
+    (:func:`~repro.core.solvers.bench.scalar_bisection_radius`, pinned by
     ``tests/core/test_solver_kernels.py``).
 
     ``warm`` optionally carries a
@@ -504,8 +537,7 @@ def solve_bisection_radius(
     for ray-convex mappings on the upper-bound side the previous argmin
     direction seeds a certified refinement that skips provably-losing
     brackets.  Warm results are bit-identical to cold ones (pinned by
-    ``tests/core/test_warm_solvers.py``); ``batch=False`` ignores
-    ``warm``.
+    ``tests/core/test_warm_solvers.py``).
 
     Raises
     ------
@@ -518,82 +550,62 @@ def solve_bisection_radius(
     if mapping.n_inputs != n:
         raise SpecificationError(
             f"origin has length {n} but mapping expects {mapping.n_inputs}")
-    rng = default_rng(seed)
-    dirs = []
-    if include_axes:
-        eye = np.eye(n)
-        dirs.append(eye)
-        dirs.append(-eye)
-    if n_random_directions > 0:
-        dirs.append(sample_on_sphere(rng, n_random_directions, n))
-    directions = np.vstack(dirs)
-    # Normalise every direction to unit length in the distance norm so the
-    # ray parameter of a crossing equals its distance.
-    p = np.inf if norm in (np.inf, "inf") else norm
-    norms = np.linalg.norm(directions, ord=p, axis=1, keepdims=True)
-    directions = directions / norms
+    directions = _bisection_directions(n, norm, seed, n_random_directions,
+                                       include_axes)
 
     logger.debug("bisection search at level %g over %d directions",
                  bound, directions.shape[0])
     table = None
-    if warm is not None and batch:
-        table = warm.table("bisection")
-        table.bind(origin, directions, lower, upper, t_max, 1e-3)
+    if warm is not None:
+        table = warm.table
+        table.bind(origin, directions, lower, upper, t_max, _T_INIT)
         warm.warm_starts += 1
         get_metrics().inc("solver.warm_starts")
     best_t = np.inf
     best_dir = None
-    if batch:
-        fresh_before = table.fresh_evals if table is not None else 0
-        h0, brackets = _directional_brackets(mapping, origin, directions,
-                                             bound, t_max=t_max, t_init=1e-3,
-                                             lower=lower, upper=upper,
-                                             table=table)
-        if table is not None and table.fresh_evals == fresh_before:
-            # Every bracket came straight out of the table: a warm hit.
-            warm.warm_hits += 1
-            get_metrics().inc("solver.warm_hits")
-        side = "upper" if h0 < 0.0 else "lower"
-        if h0 == 0.0:
-            best_t, best_dir = 0.0, directions[0]
-        elif (table is not None and brackets and h0 < 0.0
-                and warm.ray_convex(mapping)):
-            best_t, best_row = _refine_with_certificate(
-                mapping, origin, directions, bound, brackets,
-                warm.hints.get(side))
-            best_dir = directions[best_row]
-            warm.hints[side] = best_row
-        else:
-            # Refine in ascending (t_lo, row) order, skipping brackets that
-            # can no longer win: Brent's result always lies inside its
-            # bracket, so once `lo > best_t` neither this bracket nor any
-            # later one (they are sorted) can produce a strictly smaller —
-            # or row-tie-winning — crossing.  Combined with the (t, row)
-            # lexicographic update below, this selects exactly the scalar
-            # loop's first strict minimiser.
-            best_row = -1
-            pruned = 0
-            for i, (row, lo, hi, h_hi) in enumerate(brackets):
-                if lo > best_t:
-                    pruned = len(brackets) - i
-                    break
-                t = _refine_bracket(mapping, origin, directions[row], bound,
-                                    lo, hi, h_hi, xtol=1e-12)
-                if t < best_t or (t == best_t and row < best_row):
-                    best_t, best_row = t, row
-            if pruned:
-                get_metrics().inc("solver.pruned_brackets", pruned)
-            if best_row >= 0:
-                best_dir = directions[best_row]
-                if warm is not None and batch:
-                    warm.hints[side] = best_row
+    fresh_before = table.fresh_evals if table is not None else 0
+    h0, brackets = _directional_brackets(mapping, origin, directions,
+                                         bound, t_max=t_max,
+                                         lower=lower, upper=upper,
+                                         table=table)
+    if table is not None and table.fresh_evals == fresh_before:
+        # Every bracket came straight out of the table: a warm hit.
+        warm.warm_hits += 1
+        get_metrics().inc("solver.warm_hits")
+    side = "upper" if h0 < 0.0 else "lower"
+    if h0 == 0.0:
+        best_t, best_dir = 0.0, directions[0]
+    elif (table is not None and brackets and h0 < 0.0
+            and warm.ray_convex(mapping)):
+        best_t, best_row = _refine_with_certificate(
+            mapping, origin, directions, bound, brackets,
+            warm.hints.get(side))
+        best_dir = directions[best_row]
+        warm.hints[side] = best_row
     else:
-        for d in directions:
-            t = directional_crossing(mapping, origin, d, bound,
-                                     t_max=t_max, lower=lower, upper=upper)
-            if t is not None and t < best_t:
-                best_t = t
-                best_dir = d
+        # Refine in ascending (t_lo, row) order, skipping brackets that
+        # can no longer win: Brent's result always lies inside its
+        # bracket, so once `lo > best_t` neither this bracket nor any
+        # later one (they are sorted) can produce a strictly smaller —
+        # or row-tie-winning — crossing.  Combined with the (t, row)
+        # lexicographic update below, this selects exactly the scalar
+        # loop's first strict minimiser.
+        best_row = -1
+        pruned = 0
+        for i, (row, lo, hi, h_hi) in enumerate(brackets):
+            if lo > best_t:
+                pruned = len(brackets) - i
+                break
+            t = _refine_bracket(mapping, origin, directions[row], bound,
+                                lo, hi, h_hi)
+            if t < best_t or (t == best_t and row < best_row):
+                best_t, best_row = t, row
+        if pruned:
+            get_metrics().inc("solver.pruned_brackets", pruned)
+        if best_row >= 0:
+            best_dir = directions[best_row]
+            if warm is not None:
+                warm.hints[side] = best_row
     if best_dir is None:
         logger.debug("no crossing at level %g within t_max=%g", bound, t_max)
         raise BoundaryNotFoundError(

@@ -37,6 +37,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from repro.core.boundary import (
+    LEVEL_RTOL,
     BoundaryCrossing,
     EllipsoidFrame,
     as_diagonal_quadratic,
@@ -50,10 +51,6 @@ from repro.exceptions import (
 
 __all__ = ["is_diagonal_quadratic", "solve_ellipsoid_radius",
            "solve_ellipsoid_frame"]
-
-#: Every witness lies on its level set within this relative tolerance,
-#: ``|f(x*) - b| <= LEVEL_RTOL * (1 + |b|)``.
-LEVEL_RTOL = 1e-9
 
 #: Smallest multiplier ``t`` the near-pole solve brackets with.
 _T_FLOOR = 1e-300
@@ -214,7 +211,8 @@ def solve_ellipsoid_frame(frame: EllipsoidFrame, origin: np.ndarray,
         uncentred quadratic, by more than ``LEVEL_RTOL (1 + |b|)`` plus
         the rounding of evaluating it there: the frame's arithmetic did
         not hold.  The dispatcher only sends problems whose frame
-        :meth:`~repro.core.boundary.EllipsoidFrame.holds`.
+        :meth:`~repro.core.boundary.EllipsoidFrame.holds`, which bounds
+        that miss before solving (a frame it admits never raises here).
     """
     if frame.rotation is None:
         return solve_ellipsoid_radius(frame.diagonal, origin, bound)

@@ -11,6 +11,14 @@ excellent warm starts), and random offsets.  For general smooth mappings
 the result is a *local* projection; the multistart converts this into a
 best-effort global one, and the directional crossings guarantee the answer
 is never worse than the bisection upper bound.
+
+The seed crossings come from the directional kernel of
+:mod:`repro.core.solvers.bisection`: a lone solve runs it as a group of
+one (:func:`~repro.core.solvers.bisection._ray_crossings`), and the tensor
+kernel hands each member of a group its row of one shared run.  The tier
+keeps no warm state: under a stateless seed a family's neighbouring solves
+ride the tensor kernel together, and under a ``Generator`` seed every
+solve draws new rays.
 """
 
 from __future__ import annotations
@@ -22,31 +30,19 @@ from scipy import optimize
 
 from repro.core.boundary import BoundaryCrossing
 from repro.core.mappings import FeatureMapping
-from repro.core.solvers.bisection import directional_crossings
+from repro.core.solvers.bisection import (
+    _N_SEED_DIRECTIONS,
+    _T_MAX,
+    _numeric_directions,
+    _ray_crossings,
+)
 from repro.exceptions import BoundaryNotFoundError, SpecificationError
 from repro.observability import get_metrics
-from repro.utils.linalg import sample_on_sphere
 from repro.utils.rng import default_rng
 
 __all__ = ["solve_numeric_radius"]
 
 logger = logging.getLogger(__name__)
-
-
-def _finite_diff_gradient_scalar(mapping: FeatureMapping, x: np.ndarray,
-                                 eps: float = 1e-7) -> np.ndarray:
-    """Scalar reference for :func:`_finite_diff_gradient` (one
-    ``mapping.value`` call per stencil point), retained for the kernel
-    equivalence suite."""
-    g = np.empty_like(x)
-    for i in range(x.size):
-        h = eps * max(1.0, abs(x[i]))
-        x_plus = x.copy()
-        x_minus = x.copy()
-        x_plus[i] += h
-        x_minus[i] -= h
-        g[i] = (mapping.value(x_plus) - mapping.value(x_minus)) / (2.0 * h)
-    return g
 
 
 def _finite_diff_gradient(mapping: FeatureMapping, x: np.ndarray,
@@ -56,8 +52,10 @@ def _finite_diff_gradient(mapping: FeatureMapping, x: np.ndarray,
     The full ``2n``-point central-difference stencil is built as one
     matrix and evaluated with a single row-exact ``mapping.value_rows``
     call, so each stencil value is ``mapping.value``'s float and the
-    gradient is bit-identical to the scalar reference — also for
-    compositions that mix a callable with vectorised components.
+    gradient is bit-identical to the per-coordinate scalar reference
+    (:func:`~repro.core.solvers.bench._finite_diff_gradient_scalar`) —
+    also for compositions that mix a callable with vectorised
+    components.
     """
     n = x.size
     h = eps * np.maximum(1.0, np.abs(x))
@@ -85,11 +83,10 @@ def solve_numeric_radius(
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
     n_starts: int = 8,
-    n_seed_directions: int = 32,
+    n_seed_directions: int = _N_SEED_DIRECTIONS,
     constraint_tol: float = 1e-7,
-    t_max: float = 1e6,
+    t_max: float = _T_MAX,
     seed=None,
-    warm=None,
     crossings_ts=None,
 ) -> BoundaryCrossing:
     """Best boundary projection over a multistart SLSQP sweep.
@@ -111,25 +108,17 @@ def solve_numeric_radius(
     t_max:
         Bracket limit for the seeding pre-pass.
     seed:
-        RNG seed for the multistart.
-    warm:
-        Optional :class:`~repro.core.solvers.warm.WarmStart` shared with
-        neighbouring solves of the same geometry.  Only the seeding
-        pre-pass consumes it (its ray table replays bracket expansion
-        without fresh evaluations, so the crossing seeds — and through
-        them the multistart — come from the previous operating point);
-        the SLSQP start schedule and RNG stream are untouched, keeping
-        warm results bit-identical to cold ones.
+        RNG seed for the seeding rays and the multistart.
     crossings_ts:
         Optional precomputed per-direction crossing distances (the array
-        :func:`~repro.core.solvers.bisection.directional_crossings` would
-        return for this problem's rays), supplied by the tensorised group
-        kernel which expands all problems' brackets in one flattened
-        batch.  The directions are still derived from ``seed`` — they
-        position the seeds and keep the RNG stream aligned — but the
-        seeding pre-pass is skipped.  Must contain the scalar reference
-        floats: the crossings seed the multistart, so any drift would
-        change the SLSQP trajectory.  ``warm`` is ignored alongside it.
+        :func:`~repro.core.solvers.bisection._ray_crossings` returns for
+        this problem's rays), supplied by the tensorised group kernel
+        which expands all problems' brackets in one flattened batch.  The
+        directions are still derived from ``seed`` — they position the
+        seeds and keep the RNG stream aligned — but the seeding pre-pass
+        is skipped.  Must contain the scalar reference floats: the
+        crossings seed the multistart, so any drift would change the
+        SLSQP trajectory.
 
     Returns
     -------
@@ -151,30 +140,16 @@ def solve_numeric_radius(
     scale = max(1.0, float(np.linalg.norm(origin)))
 
     # --- seed with directional crossings (true boundary points) ---------
-    # The batched kernel probes all 2n + n_seed_directions rays in
-    # lock-step; crossings come back in direction order, exactly as the
-    # scalar per-direction loop produced them.
+    # The directional kernel probes all 2n + n_seed_directions rays in
+    # lock-step as a group of one; crossings come back in direction
+    # order, exactly as the scalar per-direction loop produced them.
     starts: list[np.ndarray] = []
     crossings: list[BoundaryCrossing] = []
-    dirs = np.vstack([np.eye(n), -np.eye(n),
-                      sample_on_sphere(rng, n_seed_directions, n)])
-    if crossings_ts is not None:
-        ts = np.asarray(crossings_ts, dtype=np.float64)
-    else:
-        table = None
-        if warm is not None:
-            table = warm.table("numeric")
-            table.bind(origin, dirs, lower, upper, t_max, 1e-3)
-            warm.warm_starts += 1
-            get_metrics().inc("solver.warm_starts")
-            fresh_before = table.fresh_evals
-        ts = directional_crossings(mapping, origin, dirs, bound,
-                                   t_max=t_max, lower=lower, upper=upper,
-                                   table=table)
-        if table is not None and table.fresh_evals == fresh_before:
-            warm.warm_hits += 1
-            get_metrics().inc("solver.warm_hits")
-    for d, t in zip(dirs, ts):
+    dirs = _numeric_directions(n, rng, n_seed_directions)
+    if crossings_ts is None:
+        crossings_ts = _ray_crossings(mapping, origin, dirs, bound,
+                                      t_max=t_max, lower=lower, upper=upper)
+    for d, t in zip(dirs, crossings_ts):
         if not np.isnan(t):
             pt = origin + float(t) * d
             crossings.append(BoundaryCrossing(pt, bound, float(t)))

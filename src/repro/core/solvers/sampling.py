@@ -98,7 +98,7 @@ def sampling_upper_bound(
         points = np.maximum(points, np.asarray(lower, dtype=np.float64))
     if upper is not None:
         points = np.minimum(points, np.asarray(upper, dtype=np.float64))
-    values = mapping.value_many(points)
+    values = mapping.value_rows(points)
     violating = (values > bounds.beta_max) | (values < bounds.beta_min)
     n_viol = int(np.count_nonzero(violating))
     logger.debug("sampled %d points within distance %g: %d violation(s)",

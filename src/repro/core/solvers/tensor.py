@@ -7,32 +7,32 @@ norm, and mapping structure repeat the *same* solver schedule — the same
 direction matrix (stateless seed), the same canonical probe grid, the same
 bracket expansion — differing only in their origins, boxes, and bound
 levels.  :class:`ProblemTensor` packs such a group into stacked arrays so
-the whole group advances as one kernel:
+the whole group advances through the directional kernel of
+:mod:`repro.core.solvers.bisection` (the one every per-problem
+directional search runs as a group of one):
 
 * **Lock-step expansion over a problems axis.**  Every still-active
   ``(problem, bound, direction)`` ray advances one rung per iteration and
   all surviving rays' probe points are evaluated with a single
-  ``mapping.value_rows`` call over the flattened point tensor — one
+  ``mapping.value_rows`` call over the flattened point tensor
+  (:func:`~repro.core.solvers.bisection._expand_units`) — one
   Python-level evaluation per *iteration* instead of one per problem per
-  iteration.  The probe parameters are the scalar kernel's exact decision
-  grid (``t_1 = min(t_init, t_stop)``, ``t_{k+1} = min(4 t_k, t_stop)``
-  with per-problem box exits), so the located bracket endpoints are the
-  scalar path's floats.
+  iteration.  The probe parameters are the scalar reference's exact
+  decision grid (``t_1 = min(t_init, t_stop)``, ``t_{k+1} = min(4 t_k,
+  t_stop)`` with per-problem box exits), so the located bracket
+  endpoints are the scalar path's floats.
 
 * **Exact pruning, then batched Brent refinement.**  A bracket whose
   lower end exceeds its unit's smallest bracket top cannot hold the
   winning crossing and is dropped; all survivors refine in lock-step
-  through :func:`~repro.core.solvers.brent.batched_brentq`.
+  (:func:`~repro.core.solvers.bisection._refine_brackets`).
 
 * **Roots are results.**  ``value_rows`` is row-exact — each row's float
   is ``mapping.value``'s whatever the batch shape — and ``batched_brentq``
   is a float-for-float port of SciPy's ``brentq``, so every batched root
   *is* the scalar reference's float.  Each unit's winner is the
   lexicographic ``(t, row)`` minimum over its roots, exactly the scalar
-  pruned scan's answer.  Only rows the batched kernel flags (``ok=False``)
-  re-run through the scalar
-  :func:`~repro.core.solvers.bisection._refine_bracket`, which raises as
-  SciPy does.
+  pruned scan's answer.
 
 The numeric tier shares the expansion and the refinement: its SLSQP seed
 crossings are the same batched roots.
@@ -71,29 +71,23 @@ from repro.core.radius import (
     compute_radius,
 )
 from repro.core.solvers.bisection import (
-    _batch_values,
+    _T_INIT,
+    _T_MAX,
+    _bisection_directions,
     _brackets_from_table,
+    _expand_units,
+    _numeric_directions,
     _ray_exit_ts,
-    _refine_bracket,
+    _refine_brackets,
+    _unit_crossings,
 )
-from repro.core.solvers.brent import batched_brentq
 from repro.core.solvers.numeric import solve_numeric_radius
 from repro.exceptions import BoundaryNotFoundError, SpecificationError
 from repro.observability import get_metrics, span
-from repro.utils.linalg import sample_on_sphere
-from repro.utils.rng import default_rng
 
 __all__ = ["ProblemTensor", "solve_problem_tensor", "solve_group"]
 
 logger = logging.getLogger(__name__)
-
-# The directional solvers' fixed schedule (their keyword defaults); the
-# dispatcher in repro.core.radius never overrides these.
-_T_MAX = 1e6
-_T_INIT = 1e-3
-_XTOL = 1e-12
-_N_RANDOM_DIRECTIONS = 128
-_N_SEED_DIRECTIONS = 32
 
 
 @dataclass(frozen=True)
@@ -212,27 +206,6 @@ class ProblemTensor:
 # shared geometry
 
 
-def _bisection_directions(n: int, norm, seed) -> np.ndarray:
-    """The direction matrix ``solve_bisection_radius`` derives from a
-    stateless seed: signed axes plus sphere samples, normalised in the
-    distance norm.  Stateless seeding makes it identical for every member
-    of the group."""
-    rng = default_rng(seed)
-    eye = np.eye(n)
-    directions = np.vstack([eye, -eye,
-                            sample_on_sphere(rng, _N_RANDOM_DIRECTIONS, n)])
-    p = np.inf if norm in (np.inf, "inf") else norm
-    norms = np.linalg.norm(directions, ord=p, axis=1, keepdims=True)
-    return directions / norms
-
-
-def _numeric_directions(n: int, seed) -> np.ndarray:
-    """The seeding rays of ``solve_numeric_radius`` (unnormalised)."""
-    rng = default_rng(seed)
-    return np.vstack([np.eye(n), -np.eye(n),
-                      sample_on_sphere(rng, _N_SEED_DIRECTIONS, n)])
-
-
 def _shared_geometry(problems) -> bool:
     """Whether every member shares the first one's origin and box — the
     precondition for replaying one warm :class:`RayTable` across the
@@ -246,65 +219,6 @@ def _shared_geometry(problems) -> bool:
 
     return all(_eq(p.origin, first.origin) and _eq(p.lower, first.lower)
                and _eq(p.upper, first.upper) for p in problems[1:])
-
-
-# ---------------------------------------------------------------------------
-# flattened lock-step expansion
-
-
-def _expand_units(mapping, origins, directions, units, h0s, t_stops):
-    """Lock-step bracket expansion over a flattened
-    ``(problem, bound) x direction`` point tensor.
-
-    ``units`` lists ``(problem_index, bound_index, bound)`` rows; ``h0s``
-    their scalar ``f(x0) - b`` values; ``t_stops`` their per-direction
-    box exits.  Each iteration evaluates every still-active ray's probe
-    point — across *all* units — with one row-exact ``value_rows`` call.
-    The probe grid and sign decisions per ray are exactly
-    :func:`~repro.core.solvers.bisection._directional_brackets`'s, so the
-    returned brackets carry the scalar kernel's endpoint floats.
-
-    Returns the flat bracket arrays ``(unit, row, lo, hi, h_hi)``, one
-    entry per ray whose sign flipped, in no particular order.
-    """
-    m = directions.shape[0]
-    n_units = len(units)
-    total = n_units * m
-    unit_of = np.repeat(np.arange(n_units), m)
-    row_of = np.tile(np.arange(m), n_units)
-    p_of = np.repeat(np.asarray([u[0] for u in units], dtype=np.intp), m)
-    beta_of = np.repeat(np.asarray([u[2] for u in units], dtype=np.float64),
-                        m)
-    h0_of = np.repeat(np.asarray(h0s, dtype=np.float64), m)
-    t_stop = np.concatenate(t_stops)
-
-    active = t_stop > 0.0
-    t_lo = np.zeros(total)
-    t_hi = np.minimum(_T_INIT, t_stop)
-    hits: list[np.ndarray] = [np.empty(0, dtype=np.intp)]
-    h_hits: list[np.ndarray] = [np.empty(0)]
-    idx_all = np.arange(total)
-    while np.any(active):
-        rows = idx_all[active]
-        points = origins[p_of[rows]] + t_hi[rows, None] * directions[row_of[rows]]
-        values, in_domain = _batch_values(mapping, points)
-        h_hi = values - beta_of[rows]
-        # Out-of-domain probes end their rays exactly like the scalar
-        # kernel's per-direction SpecificationError: no crossing.
-        active[rows[~in_domain]] = False
-        with np.errstate(invalid="ignore"):
-            flipped = in_domain & (h0_of[rows] * h_hi <= 0.0)
-        # A flipped ray stops here, so its t_lo/t_hi stay as they are.
-        hits.append(rows[flipped])
-        h_hits.append(h_hi[flipped])
-        active[rows[flipped]] = False
-        exhausted = active[rows] & (t_hi[rows] >= t_stop[rows])
-        active[rows[exhausted]] = False
-        still = idx_all[active]
-        t_lo[still] = t_hi[still]
-        t_hi[still] = np.minimum(4.0 * t_hi[still], t_stop[still])
-    ks = np.concatenate(hits)
-    return unit_of[ks], row_of[ks], t_lo[ks], t_hi[ks], np.concatenate(h_hits)
 
 
 def _bracket_arrays(per_unit):
@@ -334,51 +248,6 @@ def _unit_t_stops(tensor, units, directions):
     return out
 
 
-def _refine_brackets(tensor, units, h0s, directions, brackets):
-    """Brent roots of every flat bracket, each ``scipy.optimize.brentq``'s
-    float on that bracket.
-
-    All brackets refine in lock-step through :func:`batched_brentq`, whose
-    evaluations go through the row-exact :func:`_batch_values`, so each
-    root *is* the scalar reference's float.  Rows the batched kernel
-    flags (``ok=False``: no sign change, or ``maxiter`` exhausted) re-run
-    through the scalar :func:`_refine_bracket`, which raises exactly as
-    SciPy does.
-    """
-    unit, row, lo, hi, f_hi = brackets
-    if unit.size == 0:
-        return np.empty(0)
-    mapping = tensor.problems[0].mapping
-    p_b = np.asarray([pi for pi, _, _ in units], dtype=np.intp)[unit]
-    beta_b = np.asarray([b for _, _, b in units], dtype=np.float64)[unit]
-    origins = tensor.origins
-
-    def evaluate(ts, rows):
-        points = origins[p_b[rows]] + ts[:, None] * directions[row[rows]]
-        values, _ = _batch_values(mapping, points)
-        return values - beta_b[rows]
-
-    # Endpoint values: the expansion's h_hi floats on top, and a fresh
-    # batched round at the bottoms — except t=0 rows, whose value is the
-    # problem's h0 (the float scalar brentq computes there).
-    at_zero = lo == 0.0
-    f_lo = np.empty(lo.shape[0])
-    f_lo[at_zero] = np.asarray(h0s, dtype=np.float64)[unit[at_zero]]
-    inner = np.flatnonzero(~at_zero)
-    if inner.size:
-        f_lo[inner] = evaluate(lo[inner], inner)
-
-    roots, ok = batched_brentq(evaluate, lo, hi, f_lo, f_hi, xtol=_XTOL)
-    get_metrics().inc("solver.tensor_refined", lo.shape[0])
-    for k in np.flatnonzero(~ok):
-        problem = tensor.problems[p_b[k]]
-        roots[k] = _refine_bracket(problem.mapping, problem.origin,
-                                   directions[row[k]], float(beta_b[k]),
-                                   float(lo[k]), float(hi[k]),
-                                   float(f_hi[k]), _XTOL)
-    return roots
-
-
 # ---------------------------------------------------------------------------
 # bisection tier: exact pruning, batched refinement, winners from the roots
 
@@ -405,7 +274,8 @@ def _select_winners(tensor, units, brackets, directions, h0s):
     if pruned:
         get_metrics().inc("solver.tensor_pruned", pruned)
     kept = tuple(a[keep] for a in brackets)
-    roots = _refine_brackets(tensor, units, h0s, directions, kept)
+    roots = _refine_brackets(tensor.problems[0].mapping, tensor.origins,
+                             units, h0s, directions, kept)
     unit, row = kept[0], kept[1]
     order = np.lexsort((row, roots, unit))
     first = order[np.r_[True, unit[order[1:]] != unit[order[:-1]]]]
@@ -432,7 +302,7 @@ def _solve_bisection_units(tensor, units, value0s, seed, warm):
     table = None
     if warm is not None and units and _shared_geometry(tensor.problems):
         first = tensor.problems[0]
-        table = warm.table("bisection")
+        table = warm.table
         table.bind(first.origin, directions, first.lower, first.upper,
                    _T_MAX, _T_INIT)
         if table.g0 is None:
@@ -445,7 +315,7 @@ def _solve_bisection_units(tensor, units, value0s, seed, warm):
             fresh_before = table.fresh_evals
             per_unit.append(_brackets_from_table(
                 tensor.problems[pi].mapping, tensor.problems[pi].origin,
-                directions, b, h0, t_stop, _T_INIT, table))
+                directions, b, h0, t_stop, table))
             if table.fresh_evals == fresh_before:
                 warm.warm_hits += 1
                 metrics.inc("solver.warm_hits")
@@ -467,24 +337,18 @@ def _solve_bisection_units(tensor, units, value0s, seed, warm):
 
 
 def _numeric_unit_crossings(tensor, units, value0s, seed):
-    """Per-unit directional crossing arrays for the numeric tier's SLSQP
-    seeding, bit-identical to ``directional_crossings`` per unit.
-
-    The bracket expansion and the Brent refinement are shared across the
-    whole group (one flattened tensor each); every located bracket is
-    refined, since the crossings seed the multistart.
+    """Per-unit crossing arrays for the numeric tier's SLSQP seeding, each
+    bit-identical to the one-problem kernel's
+    (:func:`~repro.core.solvers.bisection._ray_crossings`): the bracket
+    expansion and the Brent refinement are shared across the whole group,
+    and every located bracket is refined, since the crossings seed the
+    multistart.
     """
     directions = _numeric_directions(tensor.dim, seed)
     h0s = [value0s[pi] - b for pi, _, b in units]
-    t_stops = _unit_t_stops(tensor, units, directions)
-    brackets = _expand_units(tensor.problems[0].mapping, tensor.origins,
-                             directions, units, h0s, t_stops)
-    roots = _refine_brackets(tensor, units, h0s, directions, brackets)
-    unit, row = brackets[0], brackets[1]
-    out = np.full((len(units), directions.shape[0]), np.nan)
-    out[unit, row] = roots
-    out[np.asarray(h0s) == 0.0] = 0.0
-    return out
+    return _unit_crossings(tensor.problems[0].mapping, tensor.origins,
+                           directions, units, h0s,
+                           _unit_t_stops(tensor, units, directions))
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +373,11 @@ def solve_problem_tensor(tensor: ProblemTensor, *, seed=None, warm=None):
     """
     problems = tensor.problems
     results: list = []
+    if seed is None:
+        # One fresh draw for the whole group: each numeric member re-derives
+        # its rays from the seed, and they must be the rays its crossings
+        # were found along.
+        seed = np.random.SeedSequence().entropy
     with span("radius.tensor", problems=len(problems), tier=tensor.tier,
               dim=tensor.dim) as tsp:
         get_metrics().inc("radius.tensor_solves")

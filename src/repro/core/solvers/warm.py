@@ -13,11 +13,15 @@ elementwise-identical arithmetic to the cold batch's ``values - bound``
 solve whose brackets were fully located from the table performed **zero**
 fresh batched evaluations and counts as a *warm hit*.
 
-:class:`WarmStart` bundles the per-solver-kind tables with the previous
+:class:`WarmStart` bundles the bisection tier's table with the previous
 point's argmin direction (the *hint* that seeds the convexity-certified
 refinement in :func:`~repro.core.solvers.bisection.solve_bisection_radius`)
 and the ``warm_starts`` / ``warm_hits`` counters surfaced through
-observability metrics of the same names.
+observability metrics of the same names.  Only the bisection tier keeps
+warm state: a family of numeric-tier solves under a stateless seed rides
+the tensor kernel as one group instead (see
+:func:`~repro.analysis.degradation.degradation_curve`), and under a
+``Generator`` seed each solve draws new rays, so no table would survive.
 
 Warm state never enters :class:`~repro.parallel.cache.RadiusCache` keys:
 a warm-started solve is bit-identical to its cold twin by construction,
@@ -165,16 +169,13 @@ class WarmStart:
     """
 
     def __init__(self) -> None:
-        self._tables: dict[str, RayTable] = {}
+        #: The bisection tier's ray table.
+        self.table = RayTable()
         #: Previous argmin direction row per bound side ("upper"/"lower").
         self.hints: dict[str, int] = {}
         self.warm_starts = 0
         self.warm_hits = 0
         self._convex_memo: dict = {}
-
-    def table(self, kind: str) -> RayTable:
-        """The ray table of one solver kind ("bisection" or "numeric")."""
-        return self._tables.setdefault(kind, RayTable())
 
     def ray_convex(self, mapping: FeatureMapping) -> bool:
         """Memoised :func:`is_ray_convex` (one PSD check per family)."""
@@ -185,14 +186,12 @@ class WarmStart:
         return self._convex_memo[memo_key]
 
     def stats(self) -> dict:
-        out = {
+        return {
             "warm_starts": self.warm_starts,
             "warm_hits": self.warm_hits,
+            "tables": {"bisection": self.table.stats()},
         }
-        out["tables"] = {kind: table.stats()
-                        for kind, table in sorted(self._tables.items())}
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"WarmStart(starts={self.warm_starts}, "
-                f"hits={self.warm_hits}, tables={sorted(self._tables)})")
+                f"hits={self.warm_hits})")

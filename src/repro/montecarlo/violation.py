@@ -108,7 +108,7 @@ def violation_probability_curve(
             pts = np.maximum(pts, np.asarray(lower, dtype=np.float64))
         if upper is not None:
             pts = np.minimum(pts, np.asarray(upper, dtype=np.float64))
-        vals = mapping.value_many(pts)
+        vals = mapping.value_rows(pts)
         viol = (vals > bounds.beta_max) | (vals < bounds.beta_min)
         probs[i] = viol.mean()
     return ViolationCurve(distances=ds, probabilities=probs,

@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.features import ToleranceBounds
 from repro.core.mappings import FeatureMapping
 from repro.core.radius import RadiusProblem, RadiusResult, compute_radius
-from repro.core.solvers.bisection import directional_crossing
+from repro.core.solvers.bisection import _T_MAX, _ray_crossings
 from repro.exceptions import SpecificationError
 from repro.utils.ascii_plot import AsciiCanvas
 
@@ -102,16 +102,16 @@ def boundary_figure(
     *,
     n_curve_points: int = 256,
     sweep_degrees: tuple[float, float] = (0.0, 90.0),
-    t_max: float = 1e6,
+    t_max: float = _T_MAX,
     seed=None,
 ) -> BoundaryFigure:
     """Trace the ``beta_max`` boundary curve around a 2-D original point.
 
     Boundary points are found by ray-casting from the original point over a
     fan of directions (so curved boundaries — e.g. the bilinear HiPer-D
-    computation times — are traced faithfully, not just hyperplanes), and
-    the robustness radius and its witness come from
-    :func:`~repro.core.radius.compute_radius`.
+    computation times — are traced faithfully, not just hyperplanes), all
+    rays at once through the directional kernel, and the robustness radius
+    and its witness come from :func:`~repro.core.radius.compute_radius`.
 
     Parameters
     ----------
@@ -150,17 +150,15 @@ def boundary_figure(
                                     n_curve_points))
     # Per-axis direction scaling: trace uniformly in relative coordinates.
     axis_scale = np.where(np.abs(origin) > 0, np.abs(origin), 1.0)
-    pts = []
+    dirs = []
     for theta in angles:
         d = np.array([np.cos(theta), np.sin(theta)]) * axis_scale
         norm = float(np.linalg.norm(d))
-        if norm == 0.0:
-            continue
-        d = d / norm
-        t = directional_crossing(mapping, origin, d, bounds.beta_max,
-                                 t_max=t_max)
-        if t is not None:
-            pts.append(origin + t * d)
+        if norm > 0.0:
+            dirs.append(d / norm)
+    dirs = np.asarray(dirs).reshape(-1, 2)
+    ts = _ray_crossings(mapping, origin, dirs, bounds.beta_max, t_max=t_max)
+    pts = [origin + t * d for d, t in zip(dirs, ts) if not np.isnan(t)]
     if not pts:
         raise SpecificationError(
             "no boundary crossing found in the swept fan; the feature may "

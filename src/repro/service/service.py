@@ -41,12 +41,14 @@ tasks in worker processes cannot draw from the caller's stream in problem
 order.  One dispatcher thread takes requests in admission order, so a
 fixed request sequence yields a replayable execution.
 
-Observability: ``service.queue_depth`` / ``service.inflight`` /
-``service.shm_bytes`` gauges, ``service.admit`` / ``service.shed`` /
-``service.done`` events, a ``service.flush`` span per batch, and under it
-one zero-length ``service.request`` span per request, opened as its batch
-starts, and the batch's ``radius.batch`` span (cache pass, publication
-and supervised run, with the worker spans absorbed into it).
+Observability: ``service.queue_depth`` / ``service.inflight`` gauges,
+``service.admit`` / ``service.shed`` / ``service.done`` events, a
+``service.flush`` span per batch, and under it one zero-length
+``service.request`` span per request, opened as its batch starts, and the
+batch's ``radius.batch`` span (cache pass, publication and supervised run,
+with the worker spans absorbed into it).  A pooled batch's publication
+reports under ``shm.*`` (``shm.publish`` / ``shm.unlink`` events, the
+``shm.bytes`` gauge), as every pooled ``compute_radii`` batch does.
 """
 
 from __future__ import annotations

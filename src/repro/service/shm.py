@@ -20,7 +20,11 @@ pool stops unpickling whole problems on every task.
 
 Lifecycle discipline is absolute: every published segment is tracked in a
 module registry, unlinked via context-manager exit *and* an ``atexit``
-safety net, and accounted in the ``service.shm_bytes`` gauge.
+safety net, and accounted in the ``shm.bytes`` gauge.  Publication is not
+a service activity (every pooled batch publishes, service or not), so its
+observability names carry no ``service.`` prefix: ``shm.publish`` /
+``shm.unlink`` events, the ``shm.batches`` counter and the ``shm.bytes``
+gauge.
 :func:`assert_no_leaked_segments` turns a stranded ``/dev/shm`` block into
 a loud test failure instead of silent disk-backed garbage.
 """
@@ -78,7 +82,7 @@ def _segment_name(kind: str) -> str:
 
 def _update_shm_gauge() -> None:
     get_metrics().set_gauge(
-        "service.shm_bytes",
+        "shm.bytes",
         float(sum(batch.nbytes for batch in _LIVE.values())))
 
 
@@ -168,8 +172,8 @@ class SharedProblemBatch:
             atexit.register(_release_all_segments)
             _atexit_registered = True
         _LIVE[data.name] = self
-        get_metrics().inc("service.shm_batches")
-        emit_event("service.shm_publish", name=data.name,
+        get_metrics().inc("shm.batches")
+        emit_event("shm.publish", name=data.name,
                    problems=n_problems, bytes=self.nbytes)
         _update_shm_gauge()
 
@@ -263,7 +267,7 @@ class SharedProblemBatch:
                 segment.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
-        emit_event("service.shm_unlink", name=self.descriptor.data_name)
+        emit_event("shm.unlink", name=self.descriptor.data_name)
         _update_shm_gauge()
 
     def __enter__(self) -> "SharedProblemBatch":

@@ -18,6 +18,7 @@ from repro.core.features import ToleranceBounds
 from repro.core.fepia import RobustnessAnalysis
 from repro.core.weighting import NormalizedWeighting, SensitivityWeighting
 from repro.exceptions import SpecificationError
+from repro.observability import Observability, observing
 from repro.systems.heuristics import MCT
 from repro.systems.independent import generate_etc_gamma
 from repro.systems.independent.makespan import MakespanSystem
@@ -91,6 +92,24 @@ class TestCurveMatchesColdRebuild:
         expected = _cold_points(_makespan_analysis(), BETAS)
         for point, radii in zip(curve.points, expected):
             assert point.radii == pytest.approx(radii)
+
+
+class TestNumericFamilies:
+    def test_numeric_curve_rides_the_tensor_kernel(self):
+        # A numeric-tier family under a stateless seed is one tensor
+        # group, solved bit-identically to its per-point cold walk, and
+        # keeps no warm state.
+        analysis = _makespan_analysis(method="numeric", radius_cache=False)
+        obs = Observability()
+        with observing(obs):
+            curve = degradation_curve(analysis, None, BETAS)
+        names = [s.name for s in obs.recorder.spans()]
+        assert names.count("curve.family") == len(analysis.features)
+        assert "curve.point" not in names
+        assert curve.stats["warm_starts"] == 0
+        expected = _cold_points(
+            _makespan_analysis(method="numeric", radius_cache=False), BETAS)
+        assert [p.radii for p in curve.points] == expected
 
 
 class TestWorkerInvariance:

@@ -24,7 +24,7 @@ class TestLinearMapping:
     def test_value_many_matches_value(self, rng):
         m = LinearMapping(rng.normal(size=5), constant=0.7)
         xs = rng.normal(size=(20, 5))
-        batch = m.value_many(xs)
+        batch = m.value_rows(xs)
         np.testing.assert_allclose(batch, [m.value(x) for x in xs])
 
     def test_value_rows_is_row_exact(self, rng):
@@ -109,7 +109,7 @@ class TestQuadraticMapping:
     def test_value_many(self, rng):
         m = QuadraticMapping(rng.normal(size=(3, 3)), rng.normal(size=3))
         xs = rng.normal(size=(10, 3))
-        np.testing.assert_allclose(m.value_many(xs),
+        np.testing.assert_allclose(m.value_rows(xs),
                                    [m.value(x) for x in xs], rtol=1e-12)
 
     def test_non_square_rejected(self):
@@ -149,7 +149,7 @@ class TestProductMapping:
     def test_value_many(self, rng):
         m = ProductMapping([0.5, 2.0], coefficient=1.5)
         xs = rng.uniform(0.5, 2.0, size=(8, 2))
-        np.testing.assert_allclose(m.value_many(xs),
+        np.testing.assert_allclose(m.value_rows(xs),
                                    [m.value(x) for x in xs])
 
 
@@ -180,7 +180,7 @@ class TestCallableMapping:
 
     def test_value_many_fallback_loop(self):
         m = CallableMapping(lambda x: float(x[0]), 2)
-        out = m.value_many(np.array([[1.0, 0.0], [2.0, 0.0]]))
+        out = m.value_rows(np.array([[1.0, 0.0], [2.0, 0.0]]))
         np.testing.assert_array_equal(out, [1.0, 2.0])
 
 
@@ -202,7 +202,7 @@ class TestMaxMapping:
         comps = [LinearMapping(rng.normal(size=3)) for _ in range(4)]
         m = MaxMapping(comps)
         xs = rng.normal(size=(12, 3))
-        np.testing.assert_allclose(m.value_many(xs), [m.value(x) for x in xs])
+        np.testing.assert_allclose(m.value_rows(xs), [m.value(x) for x in xs])
 
     def test_empty_rejected(self):
         with pytest.raises(SpecificationError):
@@ -230,7 +230,7 @@ class TestSumMapping:
     def test_value_many(self, rng):
         m = SumMapping([QuadraticMapping(np.eye(2)), LinearMapping([1.0, 1.0])])
         xs = rng.normal(size=(6, 2))
-        np.testing.assert_allclose(m.value_many(xs), [m.value(x) for x in xs])
+        np.testing.assert_allclose(m.value_rows(xs), [m.value(x) for x in xs])
 
 
 class TestRestrictedMapping:
@@ -309,4 +309,4 @@ class TestReweightedMapping:
         base = QuadraticMapping(np.eye(2))
         m = ReweightedMapping(base, np.array([2.0, 3.0]))
         xs = rng.normal(size=(5, 2))
-        np.testing.assert_allclose(m.value_many(xs), [m.value(x) for x in xs])
+        np.testing.assert_allclose(m.value_rows(xs), [m.value(x) for x in xs])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.boundary import as_ellipsoid
@@ -134,6 +134,24 @@ class TestFrameGuard:
         with pytest.raises(SolverError, match="misses its level"):
             solve_ellipsoid_frame(as_ellipsoid(problem.mapping),
                                   problem.origin, 1.0)
+
+    def test_witness_off_level_frame_stays_numeric(self):
+        # The centring error (1.4e-10, centre at 3.1e5) is within
+        # FRAME_RTOL of the radius, but times the gradient (about 29) it
+        # would put the witness 2.5e-9 off its level, beyond LEVEL_RTOL:
+        # the guard refuses the frame instead of the solver raising.
+        problem = RadiusProblem(
+            QuadraticMapping([[4.760025253061779e-05]],
+                             [-29.310023868032136], 0.27929714915443626),
+            [1.0139371378096484], ToleranceBounds.upper(1.2750193167032293))
+        assert as_ellipsoid(problem.mapping) is not None
+        assert _tier_ladder(problem, "auto")[0] == ("numeric",)
+        result = compute_radius(problem, seed=0, cache=False)
+        numeric = compute_radius(problem, method="numeric", seed=0,
+                                 cache=False)
+        assert (result.method, result.quality) \
+            == ("numeric", Quality.CONVERGED)
+        assert result.radius == numeric.radius == 1.0479092054236667
 
     def test_near_centre_keeps_the_exact_tier(self):
         problem = self._problem(np.diag([1e-5, 1.0]), [1.0, 0.0])
@@ -264,6 +282,10 @@ class TestProperties:
         assert abs(r - numeric.radius) <= 1e-6 * numeric.radius + slack
 
     @given(problem=wide_problems())
+    @example(problem=RadiusProblem(
+        QuadraticMapping([[4.760025253061779e-05]], [-29.310023868032136],
+                         0.27929714915443626),
+        [1.0139371378096484], ToleranceBounds.upper(1.2750193167032293)))
     @settings(max_examples=60, deadline=None)
     def test_exact_or_numeric_at_any_conditioning(self, problem):
         # Down to d_min/d_max = 1e-15, centres near and far: the frame

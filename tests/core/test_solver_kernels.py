@@ -1,10 +1,10 @@
 """Property-style equivalence tests for the vectorised solver kernels.
 
 The batched kernels (lock-step directional bisection, stencil finite
-differences, closed-form ``gradient_many``) promise *bit-identical*
-results to the scalar reference paths they replace.  These tests sweep
-mapping types, norms, boxes, and seeds and compare the two paths with
-exact equality — any last-ulp divergence is a regression.
+differences) promise *bit-identical* results to the scalar reference
+paths they replace.  These tests sweep mapping types, norms, boxes, and
+seeds and compare the two paths with exact equality — any last-ulp
+divergence is a regression.
 """
 
 from __future__ import annotations
@@ -23,15 +23,13 @@ from repro.core.mappings import (
     ReweightedMapping,
     SumMapping,
 )
-from repro.core.solvers.bisection import (
-    directional_crossing,
-    directional_crossings,
-    solve_bisection_radius,
-)
-from repro.core.solvers.numeric import (
-    _finite_diff_gradient,
+from repro.core.solvers.bench import (
     _finite_diff_gradient_scalar,
+    directional_crossing,
+    scalar_bisection_radius,
 )
+from repro.core.solvers.bisection import _ray_crossings, solve_bisection_radius
+from repro.core.solvers.numeric import _finite_diff_gradient
 from repro.exceptions import BoundaryNotFoundError
 
 N = 6
@@ -77,7 +75,7 @@ MAPPING_KINDS = ["linear", "quadratic", "product", "max", "sum",
 
 
 class TestBatchedBisectionIdentity:
-    """``solve_bisection_radius(batch=True)`` == the scalar loop, bitwise."""
+    """``solve_bisection_radius`` == the scalar reference loop, bitwise."""
 
     @pytest.mark.parametrize("kind", MAPPING_KINDS)
     @pytest.mark.parametrize("norm", [1, 2, np.inf])
@@ -85,10 +83,8 @@ class TestBatchedBisectionIdentity:
         mapping, origin = _make_mapping(kind)
         bound = mapping.value(origin) + 4.0
         kw = dict(norm=norm, n_random_directions=48, seed=11)
-        batched = solve_bisection_radius(mapping, origin, bound,
-                                         batch=True, **kw)
-        scalar = solve_bisection_radius(mapping, origin, bound,
-                                        batch=False, **kw)
+        batched = solve_bisection_radius(mapping, origin, bound, **kw)
+        scalar = scalar_bisection_radius(mapping, origin, bound, **kw)
         assert batched.distance == scalar.distance
         np.testing.assert_array_equal(batched.point, scalar.point)
         assert batched.bound == scalar.bound
@@ -100,10 +96,8 @@ class TestBatchedBisectionIdentity:
         bound = mapping.value(origin) + 3.0
         kw = dict(norm=2, n_random_directions=32, seed=seed,
                   lower=origin - 2.5, upper=origin + 2.5)
-        batched = solve_bisection_radius(mapping, origin, bound,
-                                         batch=True, **kw)
-        scalar = solve_bisection_radius(mapping, origin, bound,
-                                        batch=False, **kw)
+        batched = solve_bisection_radius(mapping, origin, bound, **kw)
+        scalar = scalar_bisection_radius(mapping, origin, bound, **kw)
         assert batched.distance == scalar.distance
         np.testing.assert_array_equal(batched.point, scalar.point)
 
@@ -112,15 +106,16 @@ class TestBatchedBisectionIdentity:
         # must raise BoundaryNotFoundError.
         mapping = LinearMapping([1.0, 1.0])
         origin = np.zeros(2)
-        for batch in (True, False):
+        for solve in (solve_bisection_radius, scalar_bisection_radius):
             with pytest.raises(BoundaryNotFoundError):
-                solve_bisection_radius(mapping, origin, 100.0, batch=batch,
-                                       n_random_directions=16, seed=0,
-                                       lower=origin - 1.0, upper=origin + 1.0)
+                solve(mapping, origin, 100.0,
+                      n_random_directions=16, seed=0,
+                      lower=origin - 1.0, upper=origin + 1.0)
 
 
 class TestDirectionalCrossingsKernel:
-    """The batched kernel agrees per-direction with the scalar routine."""
+    """The one-problem kernel agrees per-direction with the scalar
+    reference."""
 
     @pytest.mark.parametrize("kind", MAPPING_KINDS)
     def test_per_direction_agreement(self, kind):
@@ -129,7 +124,7 @@ class TestDirectionalCrossingsKernel:
         rng = _rng(5)
         dirs = rng.standard_normal((24, N))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        ts = directional_crossings(mapping, origin, dirs, bound)
+        ts = _ray_crossings(mapping, origin, dirs, bound)
         assert ts.shape == (24,)
         for d, t in zip(dirs, ts):
             s = directional_crossing(mapping, origin, d, bound)
@@ -144,7 +139,7 @@ class TestDirectionalCrossingsKernel:
         mapping, origin = _make_mapping("product")
         bound = mapping.value(origin) + 5.0
         dirs = np.vstack([np.eye(N), -np.eye(N)])
-        ts = directional_crossings(mapping, origin, dirs, bound)
+        ts = _ray_crossings(mapping, origin, dirs, bound)
         for d, t in zip(dirs, ts):
             s = directional_crossing(mapping, origin, d, bound)
             assert (s is None and np.isnan(t)) or t == s
@@ -156,8 +151,8 @@ class TestDirectionalCrossingsKernel:
         dirs = rng.standard_normal((16, N))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         lo, hi = origin - 1.0, origin + 1.0
-        ts = directional_crossings(mapping, origin, dirs, bound,
-                                   lower=lo, upper=hi)
+        ts = _ray_crossings(mapping, origin, dirs, bound,
+                            lower=lo, upper=hi)
         for d, t in zip(dirs, ts):
             s = directional_crossing(mapping, origin, d, bound,
                                      lower=lo, upper=hi)
@@ -197,52 +192,6 @@ class TestStencilGradientIdentity:
         x = np.array([1e6, -1e6, 0.0, 1.0, -3.0, 2e4])
         np.testing.assert_array_equal(_finite_diff_gradient(mapping, x),
                                       _finite_diff_gradient_scalar(mapping, x))
-
-
-class TestGradientMany:
-    """Closed-form ``gradient_many`` matches per-row ``gradient``."""
-
-    @pytest.mark.parametrize("kind", ["linear", "product"])
-    def test_bit_identical_kinds(self, kind):
-        mapping, origin = _make_mapping(kind)
-        xs = origin + 0.25 * np.abs(_rng(3).standard_normal((20, N)))
-        got = mapping.gradient_many(xs)
-        want = np.array([mapping.gradient(row) for row in xs])
-        np.testing.assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("kind", ["quadratic", "max", "sum",
-                                      "reweighted", "restricted"])
-    def test_blas_backed_kinds_close(self, kind):
-        # These batch through gemm instead of per-row gemv, which may differ
-        # in the last ulp; the solvers that consume them are FD-free.
-        mapping, origin = _make_mapping(kind)
-        xs = origin + 0.25 * _rng(4).standard_normal((20, N))
-        got = mapping.gradient_many(xs)
-        want = np.array([mapping.gradient(row) for row in xs])
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-    def test_gradient_free_mapping_returns_none(self):
-        mapping = CallableMapping(lambda x: 2.0 * float(x.sum()), 3)
-        assert mapping.gradient_many(np.zeros((4, 3))) is None
-        comps = [LinearMapping([1.0, 1.0, 1.0]), mapping]
-        # SumMapping needs every component's gradient.
-        assert SumMapping(comps).gradient_many(np.ones((4, 3))) is None
-        # MaxMapping mirrors the scalar rule: only *winning* components
-        # need gradients.  The callable wins at ones (6 > 3) -> None; the
-        # linear wins at -ones (-3 > -6) -> its gradient.
-        assert MaxMapping(comps).gradient_many(np.ones((4, 3))) is None
-        got = MaxMapping(comps).gradient_many(-np.ones((4, 3)))
-        np.testing.assert_array_equal(got, np.ones((4, 3)))
-
-    def test_max_mapping_tie_break_matches_scalar(self):
-        # Exact ties between components: both paths take the first argmax.
-        comps = [LinearMapping([1.0, 0.0]), LinearMapping([1.0, 0.0]),
-                 LinearMapping([0.0, 1.0])]
-        mapping = MaxMapping(comps)
-        xs = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-        got = mapping.gradient_many(xs)
-        want = np.array([mapping.gradient(row) for row in xs])
-        np.testing.assert_array_equal(got, want)
 
 
 class TestSamplingRegression:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.mappings import CallableMapping, LinearMapping, QuadraticMapping
-from repro.core.solvers.bisection import directional_crossing, solve_bisection_radius
+from repro.core.solvers.bench import directional_crossing
+from repro.core.solvers.bisection import solve_bisection_radius
 from repro.exceptions import BoundaryNotFoundError, SpecificationError
 
 

@@ -253,6 +253,28 @@ class TestNumericTierIdentity:
         got = solve_group(problems, seed=3, cache=False)
         _assert_identical(got, want)
 
+    def test_unseeded_group_seeds_along_its_own_rays(self, monkeypatch):
+        # Every SLSQP start refused: each member answers with its best
+        # seed crossing, which lies on the level set only if the rays
+        # the member re-derives from the seed are the rays the group's
+        # crossings were found along -- one draw under seed=None too.
+        from repro.core.solvers import numeric
+
+        def refuse(*args, **kwargs):
+            raise ValueError("start refused")
+
+        monkeypatch.setattr(numeric.optimize, "minimize", refuse)
+        # Nine members: a mismatched draw misses the level unless a
+        # member's best crossing happens to lie on a (fixed) axis ray.
+        for seed in (5, 7, 19):
+            problems = _group("max", 2, boxed=False, seed=seed)
+            for problem, result in zip(problems,
+                                       solve_group(problems, seed=None,
+                                                   cache=False)):
+                assert result.method == "numeric"
+                assert problem.mapping.value(result.boundary_point) \
+                    == pytest.approx(result.bound_hit, rel=1e-9, abs=1e-9)
+
 
 class TestGrouping:
     def test_mixed_batch_restores_order(self):

@@ -20,7 +20,7 @@ from scipy.optimize import brentq
 from repro.core.features import ToleranceBounds
 from repro.core.mappings import LinearMapping, MaxMapping, QuadraticMapping
 from repro.core.radius import RadiusProblem, compute_radius
-from repro.core.solvers import tensor
+from repro.core.solvers import bisection, brent, tensor
 from repro.core.solvers.tensor import ProblemTensor, solve_group
 
 DIM = 12
@@ -59,12 +59,15 @@ def _units(group):
 
 @pytest.fixture
 def no_scalar_fallback(monkeypatch):
-    """Fail if any bracket falls back to the scalar refinement, so the
-    roots under test are the batched kernel's own."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("a bracket fell back to scalar brentq")
+    """Fail if the batched kernel flags any bracket for the scalar
+    refinement, so the roots under test are its own."""
+    def checked(*args, **kwargs):
+        roots, ok = brent.batched_brentq(*args, **kwargs)
+        if not ok.all():
+            raise AssertionError("a bracket fell back to scalar brentq")
+        return roots, ok
 
-    monkeypatch.setattr(tensor, "_refine_bracket", refuse)
+    monkeypatch.setattr(bisection, "batched_brentq", checked)
 
 
 @pytest.mark.parametrize("seed", [1, 7])
@@ -72,14 +75,15 @@ def test_every_batched_root_equals_scipy(seed, no_scalar_fallback):
     compared = 0
     for group in _groups(seed):
         units, h0s = _units(group)
-        directions = tensor._bisection_directions(group.dim, group.norm,
-                                                  seed)
+        directions = bisection._bisection_directions(group.dim, group.norm,
+                                                     seed)
         t_stops = tensor._unit_t_stops(group, units, directions)
-        brackets = tensor._expand_units(group.problems[0].mapping,
-                                        group.origins, directions, units,
-                                        h0s, t_stops)
-        roots = tensor._refine_brackets(group, units, h0s, directions,
-                                        brackets)
+        brackets = bisection._expand_units(group.problems[0].mapping,
+                                           group.origins, directions, units,
+                                           h0s, t_stops)
+        roots = bisection._refine_brackets(group.problems[0].mapping,
+                                           group.origins, units, h0s,
+                                           directions, brackets)
         for u, row, lo, hi, root in zip(brackets[0], brackets[1],
                                         brackets[2], brackets[3], roots):
             pi, _, bound = units[u]

@@ -171,7 +171,7 @@ def test_sum_follows_python_sum_on_negative_zero():
 def test_counting_wrapper_counts_one_batched_call():
     mapping = CallCountingMapping(_quadratic_full(np.random.default_rng(0), 4))
     mapping.value_rows(np.ones((7, 4)))
-    mapping.value_many(np.ones((5, 4)))
+    mapping.value_rows(np.ones((5, 4)))
     mapping.value(np.ones(4))
     assert (mapping.value_calls, mapping.batch_calls, mapping.rows) \
         == (1, 2, 12)

@@ -205,22 +205,10 @@ class TestWarmBisectionIdentity:
         # The dense interior of the walk must be served from the table.
         assert state.warm_hits > 0
 
-    def test_scalar_path_ignores_warm(self):
-        from repro.core.solvers.bisection import solve_bisection_radius
-
-        mapping, origin = _make_mapping("max")
-        g0 = float(mapping.value(origin))
-        state = WarmStart()
-        scalar = solve_bisection_radius(mapping, origin, g0 + 2.0,
-                                        batch=False, seed=3, warm=state)
-        batched = solve_bisection_radius(mapping, origin, g0 + 2.0,
-                                        batch=True, seed=3)
-        assert state.warm_starts == 0
-        assert scalar.distance == batched.distance
-
 
 class TestWarmNumericIdentity:
-    """Warm numeric == cold numeric (table only feeds the pre-pass)."""
+    """Warm numeric == cold numeric (the numeric tier keeps no warm
+    state)."""
 
     @pytest.mark.parametrize("kind", ["quadratic", "sum", "callable",
                                       "product"])

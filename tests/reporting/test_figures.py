@@ -4,9 +4,24 @@ import numpy as np
 import pytest
 
 from repro.core.features import ToleranceBounds
-from repro.core.mappings import LinearMapping, QuadraticMapping
+from repro.core.mappings import LinearMapping, ProductMapping, QuadraticMapping
+from repro.core.solvers.bench import directional_crossing
 from repro.exceptions import SpecificationError
 from repro.reporting.figures import boundary_figure
+
+
+def _scalar_fan(mapping, origin, bound, n, sweep, t_max=1e6):
+    """The figure's ray fan walked one ray at a time by the scalar
+    reference crossing."""
+    scale = np.where(np.abs(origin) > 0, np.abs(origin), 1.0)
+    pts = []
+    for theta in np.deg2rad(np.linspace(sweep[0], sweep[1], n)):
+        d = np.array([np.cos(theta), np.sin(theta)]) * scale
+        d = d / float(np.linalg.norm(d))
+        t = directional_crossing(mapping, origin, d, bound, t_max=t_max)
+        if t is not None:
+            pts.append(origin + t * d)
+    return np.asarray(pts)
 
 
 class TestBoundaryFigure:
@@ -36,6 +51,28 @@ class TestBoundaryFigure:
         assert fig.radius == pytest.approx(
             np.linalg.norm(np.sqrt(2.0) - np.array([1.0])) * np.sqrt(2),
             rel=1e-4)
+
+    def test_points_equal_scalar_crossings_on_a_quadratic(self):
+        m = QuadraticMapping([[1.0, 0.3], [0.3, 2.0]], [0.2, -0.1], 0.5)
+        origin = np.array([0.4, 0.7])
+        fig = boundary_figure(m, origin, ToleranceBounds.upper(4.0),
+                              n_curve_points=48, sweep_degrees=(-30.0, 200.0))
+        want = _scalar_fan(m, origin, 4.0, 48, (-30.0, 200.0))
+        assert len(want) == 48
+        np.testing.assert_array_equal(fig.boundary_points, want)
+
+    def test_points_equal_scalar_crossings_leaving_the_domain(self):
+        # A monomial is defined on the positive quadrant only: rays of a
+        # full fan that leave it before crossing drop out, ray by ray,
+        # exactly as the scalar walk drops them.
+        m = ProductMapping([1.0, -1.0], 2.0)
+        origin = np.array([2.0, 1.5])
+        bound = 2.0 * m.value(origin)
+        fig = boundary_figure(m, origin, ToleranceBounds.upper(bound),
+                              n_curve_points=72, sweep_degrees=(0.0, 360.0))
+        want = _scalar_fan(m, origin, bound, 72, (0.0, 360.0))
+        assert 0 < len(want) < 72
+        np.testing.assert_array_equal(fig.boundary_points, want)
 
     def test_render_contains_markers(self):
         m = LinearMapping([1.0, 1.0])

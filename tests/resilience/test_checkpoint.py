@@ -182,14 +182,14 @@ class TestCheckpointedValidation:
         calls = {"n": 0}
         base = problem.mapping
 
-        def flaky_value_many(xs):
+        def flaky_value_rows(xs):
             calls["n"] += 1
             if calls["n"] > 3:
                 raise KeyboardInterrupt  # killed mid-run after 3 chunks
-            return base.value_many(xs)
+            return base.value_rows(xs)
 
         flaky = CallableMapping(base.value, 2, name="flaky")
-        flaky.value_many = flaky_value_many
+        flaky.value_rows = flaky_value_rows
         killed_problem = RadiusProblem(flaky, problem.origin,
                                        problem.bounds)
         path = tmp_path / "mc.json"

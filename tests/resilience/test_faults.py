@@ -81,36 +81,11 @@ class TestWrapMapping:
         injector = FaultInjector(FaultSpec(nan_rate=0.3), seed=9)
         faulty = injector.wrap_mapping(LinearMapping([1.0, 1.0]))
         xs = np.ones((500, 2))
-        values = faulty.value_many(xs)
+        values = faulty.value_rows(xs)
         n_nan = int(np.isnan(values).sum())
         assert 0 < n_nan < 500  # partial corruption, like a flaky batch
         clean = values[~np.isnan(values)]
         np.testing.assert_allclose(clean, 2.0)
-
-    def test_value_rows_fires_like_value_many(self):
-        # One exception/latency draw per batched call and one NaN/Inf
-        # draw per row, whichever batched entry point the caller uses.
-        spec = FaultSpec(nan_rate=0.2, inf_rate=0.1, exception_rate=0.1)
-
-        def run(method):
-            injector = FaultInjector(spec, seed=11)
-            faulty = injector.wrap_mapping(LinearMapping([1.0, 2.0]))
-            masks = []
-            for k in range(30):
-                try:
-                    values = getattr(faulty, method)(np.full((40, 2), k))
-                except InjectedFaultError:
-                    masks.append("raised")
-                    continue
-                masks.append((np.isnan(values).tolist(),
-                              np.isinf(values).tolist()))
-            return masks, injector.counts
-
-        rows_masks, rows_counts = run("value_rows")
-        many_masks, many_counts = run("value_many")
-        assert rows_counts == many_counts
-        assert rows_masks == many_masks
-        assert "raised" in rows_masks
 
     def test_deterministic_under_seed(self):
         def run():

@@ -117,8 +117,8 @@ class TestOneDispatch:
         assert (batch.tags["groups"], batch.tags["shards"]) == (1, 2)
         assert "hits" not in flush.tags
         kinds = [e.kind for e in obs.events.events()]
-        assert kinds.count("service.shm_publish") == 1
-        assert kinds.count("service.shm_unlink") == 1
+        assert kinds.count("shm.publish") == 1
+        assert kinds.count("shm.unlink") == 1
 
     def test_lone_shard_publishes_only_when_pooled(self):
         # A plain executor runs a one-task batch in-process, so nothing
@@ -133,7 +133,7 @@ class TestOneDispatch:
                                     executor=executor)
             assert _canonical(got) == _canonical([want])
             kinds = [e.kind for e in obs.events.events()]
-            assert kinds.count("service.shm_publish") == published
+            assert kinds.count("shm.publish") == published
             assert executor.stats()["dispatched"] == published
             [batch] = [s for s in obs.recorder.spans()
                        if s.name == "radius.batch"]
@@ -167,7 +167,7 @@ class TestOneDispatch:
         assert _canonical(got) == _canonical(want)
         names = {s.name for s in obs.recorder.spans()}
         assert "supervisor.batch" not in names
-        assert "service.shm_publish" not in \
+        assert "shm.publish" not in \
             {e.kind for e in obs.events.events()}
 
 

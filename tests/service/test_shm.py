@@ -176,8 +176,8 @@ class TestLifecycle:
         obs = Observability()
         with observing(obs):
             with SharedProblemBatch.publish(_problems()):
-                during = obs.metrics.snapshot()["service.shm_bytes"]["value"]
-            after = obs.metrics.snapshot()["service.shm_bytes"]["value"]
+                during = obs.metrics.snapshot()["shm.bytes"]["value"]
+            after = obs.metrics.snapshot()["shm.bytes"]["value"]
         assert during > 0
         assert after == 0.0
 

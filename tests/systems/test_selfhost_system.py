@@ -95,7 +95,7 @@ class TestMapping:
         mapping = SelfhostMapping(system.model, "recovery")
         rng = np.random.default_rng(3)
         xs = np.abs(rng.normal(1.0, 0.5, size=(9, 6)))
-        batched = mapping.value_many(xs)
+        batched = mapping.value_rows(xs)
         for r in range(9):
             assert batched[r] == mapping.value(xs[r]), f"row {r}"
 
