@@ -862,6 +862,9 @@ def _cmd_lab(args) -> int:
         run_lab,
     )
 
+    from repro.utils.rng import check_seed
+
+    check_seed(args.seed)  # before the fixture draws its system from it
     analysis, catalogue, label = _lab_fixture(args)
     if args.scenarios:
         wanted = [n.strip() for n in args.scenarios.split(",") if n.strip()]

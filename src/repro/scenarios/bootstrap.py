@@ -94,18 +94,31 @@ def block_bootstrap_violation_rate(
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=int(seed), spawn_key=(_BOOTSTRAP_KEY,)))
     n_blocks = math.ceil(n_steps / block)
-    offsets = np.arange(block)
-    rates = np.empty(n_boot)
+    # Circular blocks, concatenated and truncated back to the series
+    # length: every block is ``block`` steps long but the last.
+    lengths = [block] * (n_blocks - 1) + [n_steps - (n_blocks - 1) * block]
+    chosen = np.empty((n_boot, n_traj), dtype=np.int64)
+    starts = np.empty((n_boot, n_traj, n_blocks), dtype=np.int64)
     with span("lab.bootstrap", n_boot=n_boot, block=block,
               trajectories=n_traj):
         for b in range(n_boot):
-            chosen = rng.integers(0, n_traj, size=n_traj)
-            starts = rng.integers(0, n_steps, size=(n_traj, n_blocks))
-            # Circular blocks: indices (start + offset) mod n_steps,
-            # concatenated and truncated back to the series length.
-            idx = (starts[:, :, None] + offsets[None, None, :]) % n_steps
-            idx = idx.reshape(n_traj, -1)[:, :n_steps]
-            rates[b] = stacked[chosen[:, None], idx].mean()
+            chosen[b] = rng.integers(0, n_traj, size=n_traj)
+            starts[b] = rng.integers(0, n_steps, size=(n_traj, n_blocks))
+        # Each series laid twice end to end, as a prefix sum: a circular
+        # block of ``length`` steps from ``start`` holds
+        # ``prefix[start + length] - prefix[start]`` violations.
+        width = 2 * n_steps + 1
+        prefix = np.zeros((n_traj, width), dtype=np.int64)
+        np.cumsum(np.tile(stacked, 2), axis=1, out=prefix[:, 1:])
+        prefix = prefix.ravel()
+        rows = chosen * width
+        counts = np.zeros(n_boot, dtype=np.int64)
+        for j, length in enumerate(lengths):
+            first = rows + starts[:, :, j]
+            counts += (prefix[first + length] - prefix[first]).sum(axis=1)
+        # Exact integer counts: the same float64 as the mean of the
+        # replicate's boolean cells.
+        rates = counts / (n_traj * n_steps)
     alpha = (1.0 - level) / 2.0
     lo, hi = np.quantile(rates, [alpha, 1.0 - alpha])
     return {

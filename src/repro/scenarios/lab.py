@@ -38,6 +38,7 @@ from repro.scenarios.bootstrap import (
 )
 from repro.scenarios.replay import ReplayContext, replay_scenario
 from repro.scenarios.shocks import ShockScenario
+from repro.utils.rng import check_seed
 
 __all__ = ["LAB_SCHEMA", "run_lab"]
 
@@ -90,6 +91,7 @@ def run_lab(
         Name of the scenario to ablate; defaults to the first scenario
         with a non-zero violation rate (else the first scenario).
     """
+    seed = check_seed(seed)
     scenarios = list(scenarios)
     if not scenarios:
         raise SpecificationError("need at least one scenario")

@@ -41,6 +41,7 @@ from repro.observability import emit_event, span
 from repro.parallel.executor import Task
 from repro.scenarios.shocks import ShockScenario
 from repro.utils.linalg import vector_norm_many
+from repro.utils.rng import check_seed
 
 __all__ = [
     "ReplayContext",
@@ -162,10 +163,12 @@ def _replay_chunk_task(ctx: ReplayContext, scenario: ShockScenario,
                        ) -> list[TrajectoryResult]:
     """Replay trajectories ``start..stop-1`` — a pure, picklable task.
 
-    Each trajectory is evaluated as one ``(steps x dim)`` block: one
-    block draw, one clip per parameter, row-wise distances and one
-    row-exact :meth:`~repro.core.mappings.FeatureMapping.value_rows`
-    call per feature.  ``frozen`` names one perturbation parameter whose
+    The chunk's displacements are drawn at once
+    (:meth:`~repro.scenarios.shocks.ShockScenario.displacement_blocks`),
+    then each trajectory is evaluated as one ``(steps x dim)`` block: one
+    clip per parameter, row-wise distances and one row-exact
+    :meth:`~repro.core.mappings.FeatureMapping.value_rows` call per
+    feature.  ``frozen`` names one perturbation parameter whose
     displacement is suppressed (held at its original value) — the
     ablation lever.
     """
@@ -173,13 +176,14 @@ def _replay_chunk_task(ctx: ReplayContext, scenario: ShockScenario,
     originals = [spec.mapping.value(pspace.pi_orig) for spec in ctx.features]
     moved = [(p, pspace.block_slice(p.name)) for p in ctx.params
              if p.name != frozen]
+    trajectories = range(start, stop)
+    disp = scenario.displacement_blocks(seed, trajectories, ctx.params)
     results = []
-    for trajectory in range(start, stop):
-        disp = scenario.displacement_block(seed, trajectory, ctx.params)
+    for i, trajectory in enumerate(trajectories):
         flats = np.tile(pspace.pi_orig, (scenario.n_steps, 1))
         for p, sl in moved:
             if p.name in disp:
-                flats[:, sl] = p.clip_to_bounds(p.original + disp[p.name])
+                flats[:, sl] = p.clip_to_bounds(p.original + disp[p.name][i])
         distances = vector_norm_many(
             pspace.alphas * flats - pspace.p_orig, ctx.norm)
         violated = np.zeros(scenario.n_steps, dtype=bool)
@@ -329,10 +333,12 @@ def replay_scenario(
     Raises
     ------
     SpecificationError
-        For a non-positive trajectory count, a ``frozen`` name that is
-        not a parameter, or a scenario whose parameter names or drift
-        directions do not fit ``ctx.params`` — before any task runs.
+        For a negative seed, a non-positive trajectory count, a
+        ``frozen`` name that is not a parameter, or a scenario whose
+        parameter names or drift directions do not fit ``ctx.params`` —
+        before any task runs.
     """
+    seed = check_seed(seed)
     if n_trajectories < 1:
         raise SpecificationError(
             f"n_trajectories must be >= 1, got {n_trajectories}")
@@ -348,7 +354,7 @@ def replay_scenario(
     chunks = 1 if executor is None else min(executor.workers, n_trajectories)
     cuts = [n_trajectories * i // chunks for i in range(chunks + 1)]
     tasks = [Task(_replay_chunk_task,
-                  (ctx, scenario, int(seed), start, stop, frozen))
+                  (ctx, scenario, seed, start, stop, frozen))
              for start, stop in zip(cuts, cuts[1:])]
     with span("lab.replay", scenario=scenario.name,
               trajectories=n_trajectories, frozen=frozen or "",

@@ -6,7 +6,10 @@ perturbation space.  Its draws are **pure functions** of
 RNG spawned at ``SeedSequence(entropy=seed,
 spawn_key=(scenario_key, trajectory, step))``, where ``scenario_key`` is
 a CRC-32 of the scenario name — the same determinism discipline as
-:class:`~repro.resilience.chaos.ChaosPolicy`.  Two consequences:
+:class:`~repro.resilience.chaos.ChaosPolicy`.  A chunk's cells are seeded
+together by :func:`~repro.utils.rng.spawn_key_rngs`, which equals that
+per-cell construction bit for bit; trajectories must be below ``2**32``,
+its one-word limit per key entry.  Two consequences:
 
 * replaying a trajectory is stateless — step 17 can be drawn without
   drawing steps 0..16, so trajectories parallelise freely and results
@@ -44,6 +47,7 @@ import numpy as np
 
 from repro.core.perturbation import PerturbationParameter
 from repro.exceptions import SpecGrammarError, SpecificationError
+from repro.utils.rng import KEY_ENTRY_LIMIT, check_seed, spawn_key_rngs
 from repro.utils.specs import SpecField, parse_kv_spec, spec_grammar
 
 __all__ = ["SHOCK_KINDS", "ShockScenario", "parse_shock_spec"]
@@ -52,8 +56,24 @@ __all__ = ["SHOCK_KINDS", "ShockScenario", "parse_shock_spec"]
 SHOCK_KINDS = ("spike", "drift", "correlated")
 
 #: Reserved pseudo-step for a trajectory's static draws (e.g. the
-#: correlated kind's loadings), far outside any realistic step range.
+#: correlated kind's loadings), beyond every valid step: ``n_steps``
+#: stays below it.
 _STATIC_STEP = 2**31 - 1
+
+
+def _cell_indices(values, limit: int, what: str) -> np.ndarray:
+    """``values`` as a 1-d int64 array, each checked to lie in
+    ``[0, limit)`` — before any draw, with a typed error."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise SpecificationError(
+            f"each {what} must be an integer, got {values!r}")
+    if arr.size:
+        bad = arr[(arr < 0) | (arr >= limit)]
+        if bad.size:
+            raise SpecificationError(
+                f"{what} must be in [0, {limit}), got {bad[0]}")
+    return arr.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -109,9 +129,9 @@ class ShockScenario:
         if not (math.isfinite(self.magnitude) and self.magnitude > 0):
             raise SpecificationError(
                 f"magnitude must be positive and finite, got {self.magnitude}")
-        if self.n_steps < 1:
+        if not 1 <= self.n_steps < _STATIC_STEP:
             raise SpecificationError(
-                f"n_steps must be >= 1, got {self.n_steps}")
+                f"n_steps must be in [1, {_STATIC_STEP}), got {self.n_steps}")
         if not 0.0 <= self.rate <= 1.0:
             raise SpecificationError(f"rate must be in [0, 1], got {self.rate}")
         if self.jitter < 0 or self.jitter >= 1:
@@ -127,13 +147,6 @@ class ShockScenario:
     def scenario_key(self) -> int:
         """Stable spawn-key component derived from the name."""
         return zlib.crc32(self.name.encode("utf-8"))
-
-    def _rng(self, seed: int, trajectory: int, step: int
-             ) -> np.random.Generator:
-        """The RNG of one ``(trajectory, step)`` cell — stateless."""
-        return np.random.default_rng(np.random.SeedSequence(
-            entropy=int(seed),
-            spawn_key=(self.scenario_key, int(trajectory), int(step))))
 
     def active_params(
         self, params: Sequence[PerturbationParameter]
@@ -180,60 +193,91 @@ class ShockScenario:
 
         Pure in ``(seed, scenario, trajectory, step)``; parameters the
         scenario does not touch are absent from the result.  The one-row
-        case of :meth:`displacement_block`.
+        case of :meth:`displacement_blocks`.
         """
-        if not 0 <= step < self.n_steps:
-            raise SpecificationError(
-                f"step must be in [0, {self.n_steps}), got {step}")
-        block = self.displacement_block(seed, trajectory, params,
-                                        steps=(step,))
-        return {name: rows[0] for name, rows in block.items()}
+        blocks = self.displacement_blocks(seed, (trajectory,), params,
+                                          steps=(step,))
+        return {name: rows[0, 0] for name, rows in blocks.items()}
 
     def displacement_block(
         self, seed: int, trajectory: int,
         params: Sequence[PerturbationParameter],
         steps: Sequence[int] | None = None,
     ) -> dict[str, np.ndarray]:
-        """Per-parameter displacements of a block of steps, one row each.
+        """Per-parameter displacements of a block of steps, one row each:
+        ``{name: (len(steps), dimension)}``.  The one-trajectory case of
+        :meth:`displacement_blocks`."""
+        blocks = self.displacement_blocks(seed, (trajectory,), params,
+                                          steps=steps)
+        return {name: rows[0] for name, rows in blocks.items()}
 
-        Returns ``{name: (len(steps), dimension)}`` for the touched
-        parameters; ``steps`` defaults to the whole trajectory.  Every
-        step still draws from its own ``(scenario_key, trajectory,
-        step)`` stream, so row ``i`` is bit-identical to
-        ``displacements(seed, trajectory, steps[i], params)``.
+    def displacement_blocks(
+        self, seed: int, trajectories: Sequence[int],
+        params: Sequence[PerturbationParameter],
+        steps: Sequence[int] | None = None,
+    ) -> dict[str, np.ndarray]:
+        """Per-parameter displacements of several trajectories at once.
+
+        Returns ``{name: (len(trajectories), len(steps), dimension)}`` for
+        the touched parameters; ``steps`` defaults to the whole
+        trajectory.  Every ``(trajectory, step)`` cell still draws from
+        its own ``(scenario_key, trajectory, step)`` stream, so entry
+        ``[i, j]`` is bit-identical to ``displacements(seed,
+        trajectories[i], steps[j], params)``.  The cells are seeded in one
+        array pass (:func:`~repro.utils.rng.spawn_key_rngs`) and their
+        generators are drawn from one at a time.
+
+        Raises
+        ------
+        SpecificationError
+            For a negative seed, a trajectory outside ``[0, 2**32)``, a
+            step outside ``[0, n_steps)``, or parameters the scenario does
+            not fit — before any draw.
         """
+        seed = check_seed(seed)
         active = self.active_params(params)
+        trajectories = _cell_indices(trajectories, KEY_ENTRY_LIMIT,
+                                     "trajectory")
         steps = np.arange(self.n_steps) if steps is None \
-            else np.asarray(steps, dtype=np.int64)
+            else _cell_indices(steps, self.n_steps, "step")
         if self.kind == "spike":
-            return self._spike(seed, trajectory, steps, active)
+            return self._spike(seed, trajectories, steps, active)
         if self.kind == "drift":
-            return self._drift(seed, trajectory, steps, active)
-        return self._correlated(seed, trajectory, steps, active)
+            return self._drift(seed, trajectories, steps, active)
+        return self._correlated(seed, trajectories, steps, active)
 
-    def _spike(self, seed, trajectory, steps, active
+    def _cell_rngs(self, seed, trajectories, steps):
+        """Each ``(trajectory, step)`` cell's generator, trajectory-major."""
+        return spawn_key_rngs(seed, (
+            self.scenario_key, np.repeat(trajectories, steps.size),
+            np.tile(steps, trajectories.size)))
+
+    def _spike(self, seed, trajectories, steps, active
                ) -> dict[str, np.ndarray]:
-        noise = [np.zeros((steps.size, p.dimension)) for p in active]
-        mask = [np.zeros((steps.size, p.dimension), dtype=bool)
-                for p in active]
-        for row, step in enumerate(steps):
-            rng = self._rng(seed, trajectory, step)
+        cells = (trajectories.size, steps.size)
+        noise = [np.zeros(cells + (p.dimension,)) for p in active]
+        mask = [np.zeros(cells + (p.dimension,), dtype=bool) for p in active]
+        for cell, rng in zip(np.ndindex(cells),
+                             self._cell_rngs(seed, trajectories, steps)):
             if rng.random() >= self.rate:
                 continue  # silent step: zero noise, nothing masked in
             for j, p in enumerate(active):
-                noise[j][row] = rng.standard_normal(p.dimension)
-                mask[j][row] = rng.random(p.dimension) < 0.5
+                noise[j][cell] = rng.standard_normal(p.dimension)
+                mask[j][cell] = rng.random(p.dimension) < 0.5
         return {p.name: self.magnitude * n * m
                 for p, n, m in zip(active, noise, mask)}
 
-    def _drift(self, seed, trajectory, steps, active
+    def _drift(self, seed, trajectories, steps, active
                ) -> dict[str, np.ndarray]:
+        cells = (trajectories.size, steps.size)
         ramp = self.magnitude * (steps + 1) / self.n_steps
         if self.jitter:
-            u = np.array([self._rng(seed, trajectory, step).random()
-                          for step in steps])
-            ramp = ramp * (1.0 + self.jitter * (2.0 * u - 1.0))
-        return {p.name: ramp[:, None] * block
+            u = np.array([rng.random() for rng in
+                          self._cell_rngs(seed, trajectories, steps)])
+            ramp = ramp * (1.0 + self.jitter * (2.0 * u.reshape(cells) - 1.0))
+        else:
+            ramp = np.broadcast_to(ramp, cells)
+        return {p.name: ramp[..., None] * block
                 for p, block in zip(active, self._direction_blocks(active))}
 
     def _direction_blocks(self, active) -> list[np.ndarray]:
@@ -249,17 +293,26 @@ class ShockScenario:
         scale = 1.0 / math.sqrt(total)
         return [np.full(p.dimension, scale) for p in active]
 
-    def _correlated(self, seed, trajectory, steps, active
+    def _correlated(self, seed, trajectories, steps, active
                     ) -> dict[str, np.ndarray]:
-        static = self._rng(seed, trajectory, _STATIC_STEP)
-        loadings = [static.standard_normal(p.dimension) for p in active]
-        norm = math.sqrt(sum(float(b @ b) for b in loadings))
-        if norm == 0.0:  # pragma: no cover - measure-zero draw
-            norm = 1.0
-        factor = np.array([self._rng(seed, trajectory, step).standard_normal()
-                           for step in steps])
-        scale = self.magnitude * factor / norm
-        return {p.name: scale[:, None] * block
+        # Each trajectory's static cell (its loadings) rides the same
+        # seeding pass, just before its steps.
+        rngs = self._cell_rngs(seed, trajectories,
+                               np.concatenate(([_STATIC_STEP], steps)))
+        loadings = [np.empty((trajectories.size, p.dimension))
+                    for p in active]
+        norms = np.empty(trajectories.size)
+        factor = np.empty((trajectories.size, steps.size))
+        for i in range(trajectories.size):
+            static = next(rngs)
+            rows = [static.standard_normal(p.dimension) for p in active]
+            norm = math.sqrt(sum(float(b @ b) for b in rows))
+            norms[i] = norm or 1.0  # 0 only on a measure-zero draw
+            for block, row in zip(loadings, rows):
+                block[i] = row
+            factor[i] = [next(rngs).standard_normal() for _ in steps]
+        scale = self.magnitude * factor / norms[:, None]
+        return {p.name: scale[..., None] * block[:, None, :]
                 for p, block in zip(active, loadings)}
 
     def to_dict(self) -> dict:

@@ -9,7 +9,12 @@ from repro.utils.validation import (
     check_probability,
     check_same_length,
 )
-from repro.utils.rng import default_rng, spawn_rngs
+from repro.utils.rng import (
+    default_rng,
+    spawn_key_rngs,
+    spawn_key_states,
+    spawn_rngs,
+)
 from repro.utils.linalg import (
     point_to_hyperplane_distance,
     project_point_to_hyperplane,
@@ -28,6 +33,8 @@ __all__ = [
     "check_same_length",
     "default_rng",
     "spawn_rngs",
+    "spawn_key_rngs",
+    "spawn_key_states",
     "point_to_hyperplane_distance",
     "project_point_to_hyperplane",
     "vector_norm",

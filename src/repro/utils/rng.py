@@ -6,17 +6,42 @@ bit-for-bit.  Independent streams for parallel or repeated sub-experiments
 are derived with :func:`spawn_rngs`, which uses NumPy's ``SeedSequence``
 spawning so the streams are statistically independent (never correlated the
 way naive ``seed + i`` offsets can be).
+
+Stateless per-cell streams, one per spawn key ``(k0, k1, ...)`` under a
+shared entropy, come from :func:`spawn_key_rngs`: it runs NumPy's
+``SeedSequence`` pool mixing for a whole array of keys at once and hands
+the words to NumPy's own ``PCG64``, so every generator equals
+``np.random.default_rng(SeedSequence(entropy, spawn_key=key))`` bit for
+bit at a fraction of the construction cost.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import operator
+from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["default_rng", "spawn_rngs"]
+from repro.exceptions import SpecificationError
+
+__all__ = ["check_seed", "default_rng", "spawn_key_rngs", "spawn_key_states",
+           "spawn_rngs"]
 
 RngLike = "int | np.random.Generator | np.random.SeedSequence | None"
+
+
+def check_seed(seed, *, name: str = "seed") -> int:
+    """``seed`` as a non-negative ``int``, the entropy ``SeedSequence``
+    takes; :class:`~repro.exceptions.SpecificationError` otherwise."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise SpecificationError(
+            f"{name} must be an integer, got {seed!r}") from None
+    if value < 0:
+        raise SpecificationError(f"{name} must be non-negative, got {value}")
+    return value
 
 
 def default_rng(seed=None) -> np.random.Generator:
@@ -50,3 +75,134 @@ def spawn_rngs(seed, n: int) -> Sequence[np.random.Generator]:
     else:
         ss = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in ss.spawn(n)]
+
+
+# ----------------------------------------------------------------------
+# SeedSequence in arrays
+# ----------------------------------------------------------------------
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx), with its
+# default pool of four 32-bit words.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+#: Words ``PCG64`` asks of its seed: ``generate_state(4, np.uint64)``.
+_PCG64_WORDS = 4
+#: Each spawn-key entry must fit one 32-bit word, so every cell's
+#: assembled entropy has the same length.
+KEY_ENTRY_LIMIT = 2**32
+
+
+def _hash_constants(init: int, mult: int) -> Iterator[tuple[int, int]]:
+    """The ``(xor, multiplier)`` pair of each successive hash call."""
+    const = init
+    while True:
+        following = const * mult & _MASK32
+        yield const, following
+        const = following
+
+
+def _key_words(spawn_key) -> list[np.ndarray]:
+    """One uint32 column per key entry: ints stay shape ``(1,)`` and
+    broadcast against the per-cell arrays."""
+    words = []
+    for entry in spawn_key:
+        column = np.atleast_1d(np.asarray(entry))
+        if column.ndim != 1 or column.dtype.kind not in "iu":
+            raise SpecificationError(
+                "spawn-key entries must be integers or 1-d integer arrays, "
+                f"got {entry!r}")
+        if column.size and (column.min() < 0
+                            or column.max() >= KEY_ENTRY_LIMIT):
+            raise SpecificationError(
+                f"spawn-key entries must be in [0, 2**32), got values in "
+                f"[{column.min()}, {column.max()}]")
+        words.append(column.astype(np.uint32))
+    return words
+
+
+def spawn_key_states(entropy: int, spawn_key) -> np.ndarray:
+    """``PCG64`` seed words of a whole array of spawn keys at once.
+
+    Row ``i`` equals ``SeedSequence(entropy=entropy,
+    spawn_key=key_i).generate_state(4, np.uint64)``, where ``key_i``
+    takes entry ``j`` from ``spawn_key[j]``: an ``int`` shared by every
+    cell or a 1-d integer array with one value per cell (the entries
+    broadcast together).  The hash is NumPy's, run as uint32 array
+    arithmetic; the entries before the first per-cell array are mixed
+    once for all cells.
+
+    Raises
+    ------
+    SpecificationError
+        For a negative or non-integer ``entropy``, or a key entry outside
+        ``[0, 2**32)``: a wider entry would take two words in
+        ``SeedSequence``'s entropy and give cells unequal layouts.
+    """
+    entropy = check_seed(entropy, name="entropy")
+    run = [entropy & _MASK32]
+    entropy >>= 32
+    while entropy:
+        run.append(entropy & _MASK32)
+        entropy >>= 32
+    # SeedSequence zero-pads a spawned seed's entropy to the pool size;
+    # without a key the padding hashes as the pool's own zero fill.
+    run += [0] * (_POOL - len(run))
+    words = [np.array([w], dtype=np.uint32) for w in run]
+    words += _key_words(spawn_key)
+    cells = np.broadcast_shapes(*(w.shape for w in words))
+
+    consts = _hash_constants(_INIT_A, _MULT_A)
+
+    def hashmix(value):
+        xor, mult = next(consts)
+        value = (value ^ xor) * mult
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = _MIX_L * x - _MIX_R * y
+        return value ^ (value >> 16)
+
+    pool = [hashmix(w) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    state = np.empty(cells + (2 * _PCG64_WORDS,), dtype="<u4")
+    for i in range(2 * _PCG64_WORDS):
+        state[:, i] = hashmix(pool[i % _POOL])
+    # Little-endian pairs of words, as generate_state(..., np.uint64).
+    return state.view("<u8").astype(np.uint64)
+
+
+class _StateWords(ISeedSequence):
+    """A seed whose ``PCG64`` words are already generated."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != _PCG64_WORDS or np.dtype(dtype) != np.uint64:
+            raise ValueError(
+                f"holds only generate_state({_PCG64_WORDS}, np.uint64)")
+        return self.words
+
+
+def spawn_key_rngs(entropy: int, spawn_key) -> Iterator[np.random.Generator]:
+    """Yield one ``Generator`` per cell of :func:`spawn_key_states`.
+
+    Each equals ``np.random.default_rng(np.random.SeedSequence(entropy,
+    spawn_key=key_i))`` bit for bit: the words go through NumPy's
+    ``ISeedSequence`` interface into its own ``PCG64``, so the bit
+    generator's seeding and every draw stay NumPy's code.  Generators
+    are built as the iteration reaches them, so a consumer that draws
+    from each in turn holds one at a time.
+    """
+    for words in spawn_key_states(entropy, spawn_key):
+        yield np.random.Generator(np.random.PCG64(_StateWords(words)))

@@ -21,6 +21,12 @@ class TestParser:
 
 
 class TestCommands:
+    def test_lab_rejects_negative_seed(self):
+        from repro.exceptions import SpecificationError
+
+        with pytest.raises(SpecificationError, match="seed"):
+            main(["--seed", "-1", "lab", "--trajectories", "1"])
+
     def test_demo(self, capsys):
         assert main(["demo"]) == 0
         out = capsys.readouterr().out

@@ -7,8 +7,10 @@ in with Python ``max``.  The block engine in
 :mod:`repro.scenarios.replay` must reproduce its
 :class:`~repro.scenarios.replay.TrajectoryResult` bit for bit.
 
-The per-step draws are kept here too, so the oracle does not share the
-block draw routines it checks.
+The per-step draws are kept here too, each from a ``Generator`` built
+on its own from ``SeedSequence(entropy=seed, spawn_key=(scenario_key,
+trajectory, step))``, so the oracle shares neither the block draw
+routines nor the array seeding kernel it checks.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ def scalar_displacements(scenario: ShockScenario, seed: int,
     active = scenario.active_params(params)
 
     def rng(at: int) -> np.random.Generator:
-        return scenario._rng(seed, trajectory, at)
+        return np.random.default_rng(np.random.SeedSequence(
+            entropy=seed, spawn_key=(scenario.scenario_key, trajectory, at)))
 
     if scenario.kind == "spike":
         gen = rng(step)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import SpecificationError
 from repro.scenarios.bootstrap import (
@@ -12,6 +14,7 @@ from repro.scenarios.bootstrap import (
     block_bootstrap_violation_rate,
     parse_gate,
 )
+from tests.scenarios.gather_bootstrap import gather_bootstrap_violation_rate
 
 
 class TestBootstrap:
@@ -68,6 +71,45 @@ class TestBootstrap:
         with pytest.raises(SpecificationError):
             block_bootstrap_violation_rate(
                 [np.array([True]), np.array([True, False])])
+
+
+@st.composite
+def _bootstrap_cases(draw):
+    """Series, block (up to past the series length, so the clamp and a
+    ragged last block both occur), replicates and a seed."""
+    n_traj = draw(st.integers(1, 40))
+    n_steps = draw(st.integers(1, 80))
+    fill = draw(st.sampled_from(["mixed", "all-false", "all-true"]))
+    if fill == "mixed":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        stacked = rng.random((n_traj, n_steps)) < draw(
+            st.floats(0.0, 1.0))
+    else:
+        stacked = np.full((n_traj, n_steps), fill == "all-true")
+    return dict(series=list(stacked),
+                block=draw(st.integers(1, n_steps + 5)),
+                n_boot=draw(st.integers(1, 300)),
+                seed=draw(st.one_of(st.integers(0, 2**16),
+                                    st.integers(2**32, 2**70))))
+
+
+class TestPrefixSumBootstrap:
+    """The prefix-sum counts equal the per-replicate gather, dict for
+    dict: same draws, exact integer counts, the same float64 rates."""
+
+    @given(case=_bootstrap_cases())
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_equals_gather_oracle(self, case):
+        assert block_bootstrap_violation_rate(**case) == \
+            gather_bootstrap_violation_rate(**case)
+
+    def test_lab_sized_case(self):
+        rng = np.random.default_rng(2005)
+        series = [np.arange(60) >= rng.integers(0, 60) for _ in range(32)]
+        kwargs = dict(n_boot=200, block=10, seed=2005)
+        assert block_bootstrap_violation_rate(series, **kwargs) == \
+            gather_bootstrap_violation_rate(series, **kwargs)
 
 
 class TestParseGate:

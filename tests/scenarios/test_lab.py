@@ -90,6 +90,18 @@ def test_duplicate_and_unknown_names_rejected(lab_system, catalogue):
         run_lab(analysis, [], seed=SEED)
 
 
+def test_negative_seed_rejected_before_any_task(lab_system, catalogue):
+    from repro.resilience.supervisor import (SupervisedExecutor,
+                                             SupervisorConfig)
+
+    analysis = lab_system.robustness_analysis(beta=BETA, seed=SEED)
+    with SupervisedExecutor(2, config=SupervisorConfig(), seed=SEED) as ex:
+        with pytest.raises(SpecificationError, match="seed"):
+            run_lab(analysis, catalogue, seed=-1, n_trajectories=2,
+                    n_boot=10, executor=ex)
+        assert ex.last_report is None
+
+
 def test_artifact_has_no_environment_leakage(payload):
     """The determinism contract: nothing timing- or worker-shaped."""
     text = json.dumps(payload)

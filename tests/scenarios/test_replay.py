@@ -145,6 +145,19 @@ def test_bad_direction_length_fails_before_dispatch(lab_ctx, lab_rho):
         assert ex.last_report is None
 
 
+def test_negative_seed_fails_before_dispatch(lab_ctx, lab_rho):
+    """A negative lab seed is a typed error in the caller: no chunk is
+    sent, retried, quarantined or re-run in-process."""
+    scenario = ShockScenario(name="spiky", kind="spike", magnitude=0.5,
+                             n_steps=5)
+    with SupervisedExecutor(2, config=SupervisorConfig(), seed=SEED) as ex:
+        with pytest.raises(SpecificationError, match="seed"):
+            replay_scenario(lab_ctx, scenario, seed=-1, n_trajectories=4,
+                            rho=lab_rho, executor=ex)
+        assert ex.retries == 0 and ex.quarantined == 0
+        assert ex.last_report is None
+
+
 def test_quarantined_chunks_rerun_bit_identically(lab_ctx, lab_system,
                                                   lab_rho):
     """Every chunk task fails and is quarantined; the in-process re-runs

@@ -48,6 +48,34 @@ class TestValidation:
         with pytest.raises(SpecificationError, match="step"):
             sc.displacements(0, 0, sc.n_steps, PARAMS)
 
+    @pytest.mark.parametrize("kind", SHOCK_KINDS)
+    @pytest.mark.parametrize("steps", [(8,), (7, 8, 500), (-1,),
+                                       (2**31 - 1,)])
+    def test_block_steps_out_of_range_rejected(self, kind, steps):
+        """No row past the 8-step trajectory, and no step sharing the
+        static cell's stream, comes back from a block draw."""
+        sc = _stochastic(kind)
+        with pytest.raises(SpecificationError, match="step must be in"):
+            sc.displacement_block(0, 0, PARAMS, steps=steps)
+
+    @pytest.mark.parametrize("kind", SHOCK_KINDS)
+    @pytest.mark.parametrize("trajectory", [-1, 2**32, 2**40])
+    def test_trajectory_out_of_range_rejected(self, kind, trajectory):
+        sc = _stochastic(kind)
+        with pytest.raises(SpecificationError, match="trajectory"):
+            sc.displacement_block(0, trajectory, PARAMS)
+        with pytest.raises(SpecificationError, match="trajectory"):
+            sc.displacement_blocks(0, [0, trajectory], PARAMS)
+
+    @pytest.mark.parametrize("kind", SHOCK_KINDS)
+    def test_negative_seed_rejected(self, kind):
+        with pytest.raises(SpecificationError, match="seed"):
+            _stochastic(kind).displacement_block(-1, 0, PARAMS)
+
+    def test_n_steps_stays_below_static_step(self):
+        with pytest.raises(SpecificationError, match="n_steps"):
+            _scenario("correlated", n_steps=2**31 - 1)
+
 
 def _stochastic(kind: str) -> ShockScenario:
     """A scenario of the kind with its randomness switched on (a
@@ -138,6 +166,33 @@ BLOCK_CASES = {
         directions={"exec_times": (0.6, 0.0, 0.8), "loads": (0.0, 1.0)}),
     "correlated": _scenario("correlated"),
 }
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_blocks_are_the_per_trajectory_blocks(case):
+    """Trajectory ``i`` of a multi-trajectory draw is
+    :meth:`ShockScenario.displacement_block` of that trajectory, over
+    any step subset; the scalar oracle agrees cell by cell."""
+    from tests.scenarios.scalar_replay import scalar_displacements
+
+    sc = BLOCK_CASES[case]
+    trajectories = [5, 0, 2**32 - 1, 3]
+    for steps in (None, [7, 0, 3]):
+        blocks = sc.displacement_blocks(11, trajectories, PARAMS,
+                                        steps=steps)
+        rows = range(sc.n_steps) if steps is None else steps
+        for i, trajectory in enumerate(trajectories):
+            one = sc.displacement_block(11, trajectory, PARAMS, steps=steps)
+            for p in PARAMS:
+                assert blocks[p.name].shape == (
+                    len(trajectories), len(rows), p.dimension)
+                assert blocks[p.name][i].tobytes() == one[p.name].tobytes()
+            for j, step in enumerate(rows):
+                oracle = scalar_displacements(sc, 11, trajectory, step,
+                                              PARAMS)
+                for p in PARAMS:
+                    assert blocks[p.name][i, j].tobytes() == \
+                        oracle[p.name].tobytes()
 
 
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))

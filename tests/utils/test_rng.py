@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.utils.rng import default_rng, spawn_rngs
+from repro.exceptions import SpecificationError
+from repro.utils.rng import (
+    default_rng,
+    spawn_key_rngs,
+    spawn_key_states,
+    spawn_rngs,
+)
 
 
 class TestDefaultRng:
@@ -54,3 +62,93 @@ class TestSpawnRngs:
     def test_spawn_from_seed_sequence(self):
         kids = spawn_rngs(np.random.SeedSequence(1), 2)
         assert len(kids) == 2
+
+
+#: Entropy below, at and past each word boundary of SeedSequence's pool.
+ENTROPIES = st.one_of(st.just(0), st.integers(1, 2**16),
+                      st.integers(2**32, 2**64 - 1),
+                      st.integers(2**64, 2**160))
+#: Key entries at the edges of the one-word range.
+KEY_ENTRIES = st.sampled_from([0, 1, 2**31 - 1, 2**32 - 1])
+
+
+@st.composite
+def _keys(draw):
+    """A spawn key of 0-4 entries over 1-6 cells; each entry is shared
+    (an int) or per cell (an array)."""
+    n_cells = draw(st.integers(1, 6))
+    key, rows = [], [[] for _ in range(n_cells)]
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            value = draw(KEY_ENTRIES)
+            key.append(value)
+            for row in rows:
+                row.append(value)
+        else:
+            column = draw(st.lists(KEY_ENTRIES, min_size=n_cells,
+                                   max_size=n_cells))
+            key.append(np.array(column, dtype=np.int64))
+            for row, value in zip(rows, column):
+                row.append(value)
+    return tuple(key), [tuple(row) for row in rows]
+
+
+class TestSpawnKeyKernel:
+    """The array kernel is NumPy's SeedSequence, cell for cell."""
+
+    @given(entropy=ENTROPIES, keys=_keys(), n=st.integers(1, 7))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_words_and_draws_equal_seed_sequence(self, entropy, keys, n):
+        key, rows = keys
+        states = spawn_key_states(entropy, key)
+        rngs = list(spawn_key_rngs(entropy, key))
+        assert states.dtype == np.uint64
+        if any(isinstance(entry, np.ndarray) for entry in key):
+            assert states.shape == (len(rows), 4)
+            assert len(rngs) == len(rows)
+        for i, (row, rng) in enumerate(zip(rows, rngs)):
+            seq = np.random.SeedSequence(entropy=entropy, spawn_key=row)
+            assert states[i].tobytes() == \
+                seq.generate_state(4, np.uint64).tobytes()
+            ref = np.random.default_rng(seq)
+            assert rng.random() == ref.random()
+            assert rng.standard_normal(n).tobytes() == \
+                ref.standard_normal(n).tobytes()
+            assert rng.random(n).tobytes() == ref.random(n).tobytes()
+
+    def test_lab_shaped_chunk(self):
+        """A replay chunk: one scenario key, trajectories by steps plus a
+        static cell, one shared entropy."""
+        trajectories = np.repeat(np.arange(16), 61)
+        steps = np.tile(np.r_[2**31 - 1, np.arange(60)], 16)
+        states = spawn_key_states(2005, (123456789, trajectories, steps))
+        for i in range(0, states.shape[0], 37):
+            seq = np.random.SeedSequence(
+                2005, spawn_key=(123456789, int(trajectories[i]),
+                                 int(steps[i])))
+            assert states[i].tobytes() == \
+                seq.generate_state(4, np.uint64).tobytes()
+
+    @pytest.mark.parametrize("key", [
+        (2**32,), (0, np.array([1, 2**32])), (-1,), (0, np.array([3, -2])),
+    ])
+    def test_entries_outside_one_word_rejected(self, key):
+        with pytest.raises(SpecificationError, match=r"\[0, 2\*\*32\)"):
+            spawn_key_states(7, key)
+
+    @pytest.mark.parametrize("entropy", [-1, 1.5, "7"])
+    def test_bad_entropy_rejected(self, entropy):
+        with pytest.raises(SpecificationError, match="entropy"):
+            spawn_key_states(entropy, (1,))
+
+    @pytest.mark.parametrize("key", [(1.0,), (np.zeros((2, 2), int),)])
+    def test_non_integer_entries_rejected(self, key):
+        with pytest.raises(SpecificationError, match="integers"):
+            spawn_key_states(7, key)
+
+    def test_generators_are_built_lazily(self):
+        rngs = spawn_key_rngs(7, (1, np.arange(3)))
+        first = next(rngs)
+        assert isinstance(first, np.random.Generator)
+        assert len(list(rngs)) == 2
