@@ -18,10 +18,22 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.observability import emit_event, span
-from repro.scenarios.replay import ReplayContext, ReplayResult, replay_scenario
+from repro.scenarios.replay import (
+    ReplayContext,
+    ReplayResult,
+    check_replay,
+    replay_batch,
+)
 from repro.scenarios.shocks import ShockScenario
 
-__all__ = ["run_ablation"]
+__all__ = ["ablation_jobs", "run_ablation", "summarize_ablation"]
+
+
+def ablation_jobs(ctx: ReplayContext, scenario: ShockScenario
+                  ) -> list[tuple[ShockScenario, str]]:
+    """The replay jobs of an ablation: the scenario once per parameter,
+    with that parameter frozen (in ``ctx.params`` order)."""
+    return [(scenario, p.name) for p in ctx.params]
 
 
 def run_ablation(
@@ -36,6 +48,10 @@ def run_ablation(
     executor=None,
 ) -> dict:
     """Freeze one perturbation kind at a time and rank the damage.
+
+    Every frozen replay's chunks run as one batch
+    (:func:`~repro.scenarios.replay.replay_batch` over
+    :func:`ablation_jobs`), ranked by :func:`summarize_ablation`.
 
     Parameters
     ----------
@@ -57,22 +73,41 @@ def run_ablation(
         dominance ranking, the analytic radius ranking, and whether the
         two agree on the dominant kind.
     """
-    full_rate = full.violation_rate
-    entries = []
+    seed = check_replay(ctx, scenario, seed=seed,
+                        n_trajectories=n_trajectories)
+    jobs = ablation_jobs(ctx, scenario)
     with span("lab.ablation", scenario=scenario.name,
               params=len(ctx.params)):
-        for p in ctx.params:
-            frozen = replay_scenario(
-                ctx, scenario, seed=seed, n_trajectories=n_trajectories,
-                rho=rho, executor=executor, frozen=p.name)
-            frozen_rate = frozen.violation_rate
-            entries.append({
-                "param": p.name,
-                "frozen_violation_rate": float(frozen_rate),
-                "delta_violation_rate": float(full_rate - frozen_rate),
-                "radius": (float(per_parameter_radii[p.name])
-                           if p.name in per_parameter_radii else None),
-            })
+        replays = replay_batch(ctx, jobs, seed=seed,
+                               n_trajectories=n_trajectories, rho=rho,
+                               executor=executor)
+    frozen = {name: replay for (_, name), replay in zip(jobs, replays)}
+    return summarize_ablation(scenario, full, frozen, per_parameter_radii)
+
+
+def summarize_ablation(
+    scenario: ShockScenario,
+    full: ReplayResult,
+    frozen: Mapping[str, ReplayResult],
+    per_parameter_radii: Mapping[str, float],
+) -> dict:
+    """Rank the frozen replays against the full one.
+
+    ``frozen`` maps each parameter name to the replay with that
+    parameter frozen, in parameter order; the payload is
+    :func:`run_ablation`'s.
+    """
+    full_rate = full.violation_rate
+    entries = []
+    for name, replay in frozen.items():
+        frozen_rate = replay.violation_rate
+        entries.append({
+            "param": name,
+            "frozen_violation_rate": float(frozen_rate),
+            "delta_violation_rate": float(full_rate - frozen_rate),
+            "radius": (float(per_parameter_radii[name])
+                       if name in per_parameter_radii else None),
+        })
     # Stochastic ranking: biggest rate drop first (ties broken by name
     # so the artifact is stable under dict-order changes).
     dominance = sorted(entries,

@@ -33,6 +33,7 @@ from repro.observability import span
 
 __all__ = [
     "block_bootstrap_violation_rate",
+    "check_bootstrap",
     "parse_gate",
     "GateCheck",
     "GateResult",
@@ -42,6 +43,19 @@ __all__ = [
 #: Spawn-key tag separating bootstrap draws from every other consumer of
 #: the lab seed (scenario draws use scenario-name CRCs).
 _BOOTSTRAP_KEY = zlib.crc32(b"repro.scenarios.bootstrap")
+
+
+def check_bootstrap(*, n_boot: int, block: int, level: float = 0.95
+                    ) -> None:
+    """Raise :class:`~repro.exceptions.SpecificationError` unless the
+    bootstrap settings are usable: callers that run the bootstrap as a
+    worker task check them before dispatch."""
+    if n_boot < 1:
+        raise SpecificationError(f"n_boot must be >= 1, got {n_boot}")
+    if block < 1:
+        raise SpecificationError(f"block must be >= 1, got {block}")
+    if not 0.0 < level < 1.0:
+        raise SpecificationError(f"level must be in (0, 1), got {level}")
 
 
 def block_bootstrap_violation_rate(
@@ -81,12 +95,7 @@ def block_bootstrap_violation_rate(
     if n_steps == 0 or any(a.size != n_steps for a in arrays):
         raise SpecificationError(
             "trajectory series must be non-empty and equal-length")
-    if n_boot < 1:
-        raise SpecificationError(f"n_boot must be >= 1, got {n_boot}")
-    if block < 1:
-        raise SpecificationError(f"block must be >= 1, got {block}")
-    if not 0.0 < level < 1.0:
-        raise SpecificationError(f"level must be in (0, 1), got {level}")
+    check_bootstrap(n_boot=n_boot, block=block, level=level)
     block = min(block, n_steps)
     stacked = np.stack(arrays)  # (n_traj, n_steps)
     n_traj = stacked.shape[0]

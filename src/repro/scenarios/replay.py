@@ -13,12 +13,17 @@ feature, and records:
   ``beta`` consumed along the trajectory (1.0 = the bound was reached);
 * **time-to-first-violation**.
 
-A trajectory is evaluated as one ``(steps x dim)`` block rather than a
-loop of scalar steps.  Trajectories are independent and fan out through
-a :class:`~repro.resilience.SupervisedExecutor` as one contiguous chunk
-per worker; each is a pure function of ``(seed, scenario, trajectory)``,
-so the merged result is bit-identical for any worker count, traced or
-untraced.
+A chunk of trajectories is evaluated as one ``(trajectories * steps x
+dim)`` block rather than a loop of scalar steps.  Trajectories are
+independent and fan out through a
+:class:`~repro.resilience.SupervisedExecutor` as one contiguous chunk per
+worker; each is a pure function of ``(seed, scenario, trajectory)``, so
+the merged result is bit-identical for any worker count, traced or
+untraced.  Several replays (the lab's scenarios, the ablation's frozen
+parameters) share one batch: :func:`replay_tasks` cuts every job into
+the same chunks, :func:`run_tasks` runs any task list as one batch and
+:func:`merge_replays` reassembles each job's result;
+:func:`replay_scenario` is the one-job case.
 
 The lab measures distances in a *shared* P-space (one weighting for all
 features), so radius-dependent weightings (sensitivity) are rejected —
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -47,8 +53,16 @@ __all__ = [
     "ReplayContext",
     "TrajectoryResult",
     "ReplayResult",
+    "check_replay",
+    "merge_replays",
+    "replay_batch",
     "replay_scenario",
+    "replay_tasks",
+    "run_tasks",
 ]
+
+#: One replay to run: a scenario and the parameter it freezes (or None).
+ReplayJob = tuple[ShockScenario, "str | None"]
 
 
 @dataclass(frozen=True)
@@ -140,8 +154,9 @@ class TrajectoryResult:
 
 
 def _max_drawdown(values: np.ndarray, original: float, beta_min: float,
-                  beta_max: float) -> float:
-    """Worst fraction of the margin to a bound consumed over ``values``.
+                  beta_max: float) -> np.ndarray:
+    """Worst fraction of the margin to a bound consumed along each row
+    of ``values``.
 
     Each step is measured against whichever finite bound its value moved
     towards: 0 when it moved away from every finite bound, > 1 once
@@ -154,7 +169,7 @@ def _max_drawdown(values: np.ndarray, original: float, beta_min: float,
     if math.isfinite(beta_min) and beta_min < original:
         down = values < original
         used[down] = (original - values[down]) / (original - beta_min)
-    return float(used.max())
+    return used.max(axis=-1)
 
 
 def _replay_chunk_task(ctx: ReplayContext, scenario: ShockScenario,
@@ -164,47 +179,52 @@ def _replay_chunk_task(ctx: ReplayContext, scenario: ShockScenario,
     """Replay trajectories ``start..stop-1`` — a pure, picklable task.
 
     The chunk's displacements are drawn at once
-    (:meth:`~repro.scenarios.shocks.ShockScenario.displacement_blocks`),
-    then each trajectory is evaluated as one ``(steps x dim)`` block: one
-    clip per parameter, row-wise distances and one row-exact
-    :meth:`~repro.core.mappings.FeatureMapping.value_rows` call per
-    feature.  ``frozen`` names one perturbation parameter whose
-    displacement is suppressed (held at its original value) — the
-    ablation lever.
+    (:meth:`~repro.scenarios.shocks.ShockScenario.displacement_blocks`)
+    and evaluated as one ``(trajectories * steps x dim)`` block: one
+    clip per parameter, one row-wise norm, one row-exact
+    :meth:`~repro.core.mappings.FeatureMapping.value_rows` call and one
+    row-wise drawdown max per feature.  Every step is a row of its own,
+    so the chunk's bounds never change a trajectory.  ``frozen`` names
+    one perturbation parameter whose displacement is suppressed (held at
+    its original value) — the ablation lever.
     """
     pspace = ctx.pspace()
-    originals = [spec.mapping.value(pspace.pi_orig) for spec in ctx.features]
-    moved = [(p, pspace.block_slice(p.name)) for p in ctx.params
-             if p.name != frozen]
     trajectories = range(start, stop)
+    shape = (len(trajectories), scenario.n_steps)
+    rows = shape[0] * shape[1]
     disp = scenario.displacement_blocks(seed, trajectories, ctx.params)
-    results = []
-    for i, trajectory in enumerate(trajectories):
-        flats = np.tile(pspace.pi_orig, (scenario.n_steps, 1))
-        for p, sl in moved:
-            if p.name in disp:
-                flats[:, sl] = p.clip_to_bounds(p.original + disp[p.name][i])
-        distances = vector_norm_many(
-            pspace.alphas * flats - pspace.p_orig, ctx.norm)
-        violated = np.zeros(scenario.n_steps, dtype=bool)
-        drawdown = {}
-        for spec, original in zip(ctx.features, originals):
-            values = spec.mapping.value_rows(flats)
-            bounds = spec.feature.bounds
-            violated |= ~((bounds.beta_min <= values)
-                          & (values <= bounds.beta_max))
-            drawdown[spec.name] = _max_drawdown(
-                values, original, bounds.beta_min, bounds.beta_max)
-        results.append(TrajectoryResult(
+    flats = np.tile(pspace.pi_orig, (rows, 1))
+    for p in ctx.params:
+        if p.name != frozen and p.name in disp:
+            flats[:, pspace.block_slice(p.name)] = p.clip_to_bounds(
+                p.original + disp[p.name]).reshape(rows, p.dimension)
+    distances = vector_norm_many(
+        pspace.alphas * flats - pspace.p_orig, ctx.norm).reshape(shape)
+    violated = np.zeros(shape, dtype=bool)
+    drawdowns = []
+    for spec in ctx.features:
+        values = spec.mapping.value_rows(flats).reshape(shape)
+        bounds = spec.feature.bounds
+        violated |= ~((bounds.beta_min <= values)
+                      & (values <= bounds.beta_max))
+        drawdowns.append(_max_drawdown(
+            values, spec.mapping.value(pspace.pi_orig), bounds.beta_min,
+            bounds.beta_max).tolist())
+    firsts = np.where(violated.any(axis=1), violated.argmax(axis=1), -1)
+    return [
+        TrajectoryResult(
             scenario=scenario.name,
             trajectory=trajectory,
-            violations=tuple(violated.tolist()),
-            distances=tuple(distances.tolist()),
-            first_violation_step=(int(np.argmax(violated))
-                                  if violated.any() else None),
-            max_drawdown=drawdown,
-        ))
-    return results
+            violations=tuple(steps),
+            distances=tuple(row),
+            first_violation_step=first if first >= 0 else None,
+            max_drawdown={spec.name: drawdown[i]
+                          for spec, drawdown in zip(ctx.features,
+                                                    drawdowns)},
+        )
+        for i, (trajectory, steps, row, first) in enumerate(zip(
+            trajectories, violated.tolist(), distances.tolist(),
+            firsts.tolist()))]
 
 
 @dataclass(frozen=True)
@@ -295,6 +315,124 @@ class ReplayResult:
         }
 
 
+def check_replay(ctx: ReplayContext, scenario: ShockScenario, *,
+                 seed: int, n_trajectories: int,
+                 frozen: str | None = None) -> int:
+    """Validate one replay before any task is built; return the seed.
+
+    Raises
+    ------
+    SpecificationError
+        For a negative seed, a non-positive trajectory count, a
+        ``frozen`` name that is not a parameter, or a scenario whose
+        parameter names or drift directions do not fit ``ctx.params``:
+        a bad replay must raise here, not inside workers the supervisor
+        would retry.
+    """
+    seed = check_seed(seed)
+    if n_trajectories < 1:
+        raise SpecificationError(
+            f"n_trajectories must be >= 1, got {n_trajectories}")
+    scenario.active_params(ctx.params)
+    names = [p.name for p in ctx.params]
+    if frozen is not None and frozen not in names:
+        raise SpecificationError(
+            f"cannot freeze unknown parameter {frozen!r}; have {names}")
+    return seed
+
+
+def replay_tasks(ctx: ReplayContext, jobs: Sequence[ReplayJob], *,
+                 seed: int, n_trajectories: int, executor=None
+                 ) -> list[Task]:
+    """The chunk tasks of several replays, job by job.
+
+    Each job ``(scenario, frozen)`` is cut into the same
+    ``min(executor.workers, n_trajectories)`` contiguous trajectory
+    chunks (one without an executor); :func:`merge_replays` takes the
+    tasks' outputs back in this order.  Jobs are not validated here (see
+    :func:`check_replay`).
+    """
+    chunks = 1 if executor is None else min(executor.workers, n_trajectories)
+    cuts = [n_trajectories * i // chunks for i in range(chunks + 1)]
+    return [Task(_replay_chunk_task,
+                 (ctx, scenario, seed, start, stop, frozen))
+            for scenario, frozen in jobs
+            for start, stop in zip(cuts, cuts[1:])]
+
+
+def run_tasks(tasks: Sequence[Task], executor=None,
+              costs: Sequence[float] | None = None) -> list:
+    """Run ``tasks`` as one batch and return their outputs in task order.
+
+    Without an executor the tasks run in-process.  Through an executor
+    they are submitted costliest first when ``costs`` (one estimate per
+    task) is given, so the longest tasks start while every worker is
+    free; quarantined tasks are re-run in-process, so the outputs never
+    contain sentinels.
+    """
+    tasks = list(tasks)
+    if executor is None:
+        return [task() for task in tasks]
+    # Imported lazily (resilience imports core modules this package sits
+    # next to; avoid any chance of a cycle).
+    from repro.resilience.supervisor import resolve_task_failures
+
+    order = list(range(len(tasks)))
+    if costs is not None:
+        order.sort(key=lambda i: -costs[i])
+    batch = [tasks[i] for i in order]
+    outputs = resolve_task_failures(executor.run(batch), batch,
+                                    executor=executor)
+    merged = [None] * len(tasks)
+    for i, output in zip(order, outputs):
+        merged[i] = output
+    return merged
+
+
+def merge_replays(ctx: ReplayContext, jobs: Sequence[ReplayJob],
+                  outputs: Sequence[list[TrajectoryResult]], *,
+                  rho: float) -> list[ReplayResult]:
+    """Each job's :class:`ReplayResult` from its chunks' outputs, in the
+    order :func:`replay_tasks` built them."""
+    per_job = len(outputs) // len(jobs)
+    results = []
+    for j, (scenario, _) in enumerate(jobs):
+        chunks = outputs[j * per_job:(j + 1) * per_job]
+        # Workers return private copies of the scenario-name and
+        # feature-name strings; re-point every trajectory at the
+        # caller's instances so the merged result pickles
+        # byte-identically to a serial run (pickle memoizes shared
+        # references, so copies change the bytes).
+        trajectories = tuple(
+            replace(t, scenario=scenario.name,
+                    max_drawdown={spec.name: t.max_drawdown[spec.name]
+                                  for spec in ctx.features})
+            for chunk in chunks for t in chunk)
+        result = ReplayResult(scenario=scenario, trajectories=trajectories,
+                              rho=float(rho))
+        emit_event("lab.replayed", scenario=scenario.name,
+                   trajectories=len(trajectories),
+                   violation_rate=result.violation_rate)
+        results.append(result)
+    return results
+
+
+def replay_batch(ctx: ReplayContext, jobs: Sequence[ReplayJob], *,
+                 seed: int, n_trajectories: int, rho: float,
+                 executor=None) -> list[ReplayResult]:
+    """Replay jobs (validated by :func:`check_replay`) as one batch under
+    a ``lab.replay`` span: :func:`replay_tasks`, :func:`run_tasks`,
+    :func:`merge_replays`."""
+    tasks = replay_tasks(ctx, jobs, seed=seed,
+                         n_trajectories=n_trajectories, executor=executor)
+    with span("lab.replay",
+              scenario=",".join(dict.fromkeys(s.name for s, _ in jobs)),
+              frozen=",".join(f for _, f in jobs if f),
+              trajectories=n_trajectories, shards=len(tasks)):
+        outputs = run_tasks(tasks, executor)
+    return merge_replays(ctx, jobs, outputs, rho=rho)
+
+
 def replay_scenario(
     ctx: ReplayContext,
     scenario: ShockScenario,
@@ -306,6 +444,8 @@ def replay_scenario(
     frozen: str | None = None,
 ) -> ReplayResult:
     """Replay a scenario's trajectories, optionally fanned out.
+
+    The one-job case of :func:`replay_batch`.
 
     Parameters
     ----------
@@ -333,54 +473,11 @@ def replay_scenario(
     Raises
     ------
     SpecificationError
-        For a negative seed, a non-positive trajectory count, a
-        ``frozen`` name that is not a parameter, or a scenario whose
-        parameter names or drift directions do not fit ``ctx.params`` —
-        before any task runs.
+        As :func:`check_replay`, before any task runs.
     """
-    seed = check_seed(seed)
-    if n_trajectories < 1:
-        raise SpecificationError(
-            f"n_trajectories must be >= 1, got {n_trajectories}")
-    # Validate names and drift directions up front: a bad scenario must
-    # raise here, not inside workers the supervisor would retry.
-    scenario.active_params(ctx.params)
-    names = [p.name for p in ctx.params]
-    if frozen is not None and frozen not in names:
-        raise SpecificationError(
-            f"cannot freeze unknown parameter {frozen!r}; have {names}")
-    # One contiguous chunk of trajectories per worker, merged back in
-    # trajectory order; a chunk's results do not depend on its bounds.
-    chunks = 1 if executor is None else min(executor.workers, n_trajectories)
-    cuts = [n_trajectories * i // chunks for i in range(chunks + 1)]
-    tasks = [Task(_replay_chunk_task,
-                  (ctx, scenario, seed, start, stop, frozen))
-             for start, stop in zip(cuts, cuts[1:])]
-    with span("lab.replay", scenario=scenario.name,
-              trajectories=n_trajectories, frozen=frozen or "",
-              shards=len(tasks)):
-        if executor is not None:
-            # Imported lazily (resilience imports core modules this
-            # package sits next to; avoid any chance of a cycle).
-            from repro.resilience.supervisor import resolve_task_failures
-
-            chunk_results = resolve_task_failures(executor.run(tasks), tasks,
-                                                  executor=executor)
-        else:
-            chunk_results = [task() for task in tasks]
-    results = [t for chunk in chunk_results for t in chunk]
-    # Workers return private copies of the scenario-name and feature-name
-    # strings; re-point every trajectory at the caller's instances so the
-    # merged result pickles byte-identically to a serial run (pickle
-    # memoizes shared references, so copies change the bytes).
-    results = [
-        replace(t, scenario=scenario.name,
-                max_drawdown={spec.name: t.max_drawdown[spec.name]
-                              for spec in ctx.features})
-        for t in results]
-    result = ReplayResult(scenario=scenario,
-                          trajectories=tuple(results), rho=float(rho))
-    emit_event("lab.replayed", scenario=scenario.name,
-               trajectories=n_trajectories,
-               violation_rate=result.violation_rate)
+    seed = check_replay(ctx, scenario, seed=seed,
+                        n_trajectories=n_trajectories, frozen=frozen)
+    (result,) = replay_batch(ctx, [(scenario, frozen)], seed=seed,
+                             n_trajectories=n_trajectories, rho=rho,
+                             executor=executor)
     return result

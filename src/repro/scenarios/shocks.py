@@ -7,9 +7,12 @@ RNG spawned at ``SeedSequence(entropy=seed,
 spawn_key=(scenario_key, trajectory, step))``, where ``scenario_key`` is
 a CRC-32 of the scenario name — the same determinism discipline as
 :class:`~repro.resilience.chaos.ChaosPolicy`.  A chunk's cells are seeded
-together by :func:`~repro.utils.rng.spawn_key_rngs`, which equals that
+together by :func:`~repro.utils.rng.spawn_key_states`, which equals that
 per-cell construction bit for bit; trajectories must be below ``2**32``,
-its one-word limit per key entry.  Two consequences:
+its one-word limit per key entry.  A cell that needs only its first
+uniform draw (a jittered drift's noise, a spike's firing test) takes it
+from :func:`~repro.utils.rng.first_randoms` without building a
+generator.  Two consequences:
 
 * replaying a trajectory is stateless — step 17 can be drawn without
   drawing steps 0..16, so trajectories parallelise freely and results
@@ -47,7 +50,14 @@ import numpy as np
 
 from repro.core.perturbation import PerturbationParameter
 from repro.exceptions import SpecGrammarError, SpecificationError
-from repro.utils.rng import KEY_ENTRY_LIMIT, check_seed, spawn_key_rngs
+from repro.utils.rng import (
+    KEY_ENTRY_LIMIT,
+    check_seed,
+    first_randoms,
+    spawn_key_rngs,
+    spawn_key_states,
+    state_rng,
+)
 from repro.utils.specs import SpecField, parse_kv_spec, spec_grammar
 
 __all__ = ["SHOCK_KINDS", "ShockScenario", "parse_shock_spec"]
@@ -224,8 +234,9 @@ class ShockScenario:
         its own ``(scenario_key, trajectory, step)`` stream, so entry
         ``[i, j]`` is bit-identical to ``displacements(seed,
         trajectories[i], steps[j], params)``.  The cells are seeded in one
-        array pass (:func:`~repro.utils.rng.spawn_key_rngs`) and their
-        generators are drawn from one at a time.
+        array pass (:func:`~repro.utils.rng.spawn_key_states`); first
+        draws come from :func:`~repro.utils.rng.first_randoms`, and a
+        cell that draws more builds its generator when reached.
 
         Raises
         ------
@@ -246,25 +257,29 @@ class ShockScenario:
             return self._drift(seed, trajectories, steps, active)
         return self._correlated(seed, trajectories, steps, active)
 
-    def _cell_rngs(self, seed, trajectories, steps):
-        """Each ``(trajectory, step)`` cell's generator, trajectory-major."""
-        return spawn_key_rngs(seed, (
-            self.scenario_key, np.repeat(trajectories, steps.size),
-            np.tile(steps, trajectories.size)))
+    def _cell_keys(self, trajectories, steps) -> tuple:
+        """The spawn key of each ``(trajectory, step)`` cell,
+        trajectory-major."""
+        return (self.scenario_key, np.repeat(trajectories, steps.size),
+                np.tile(steps, trajectories.size))
 
     def _spike(self, seed, trajectories, steps, active
                ) -> dict[str, np.ndarray]:
         cells = (trajectories.size, steps.size)
-        noise = [np.zeros(cells + (p.dimension,)) for p in active]
-        mask = [np.zeros(cells + (p.dimension,), dtype=bool) for p in active]
-        for cell, rng in zip(np.ndindex(cells),
-                             self._cell_rngs(seed, trajectories, steps)):
-            if rng.random() >= self.rate:
-                continue  # silent step: zero noise, nothing masked in
+        states = spawn_key_states(seed, self._cell_keys(trajectories, steps))
+        noise = [np.zeros((len(states), p.dimension)) for p in active]
+        mask = [np.zeros((len(states), p.dimension), dtype=bool)
+                for p in active]
+        # A silent step draws nothing past its firing test, so only the
+        # firing cells build a generator.
+        for cell in np.flatnonzero(first_randoms(states) < self.rate):
+            rng = state_rng(states[cell])
+            rng.random()  # the firing test, already taken
             for j, p in enumerate(active):
                 noise[j][cell] = rng.standard_normal(p.dimension)
                 mask[j][cell] = rng.random(p.dimension) < 0.5
-        return {p.name: self.magnitude * n * m
+        return {p.name: (self.magnitude * n * m).reshape(
+                    cells + (p.dimension,))
                 for p, n, m in zip(active, noise, mask)}
 
     def _drift(self, seed, trajectories, steps, active
@@ -272,8 +287,8 @@ class ShockScenario:
         cells = (trajectories.size, steps.size)
         ramp = self.magnitude * (steps + 1) / self.n_steps
         if self.jitter:
-            u = np.array([rng.random() for rng in
-                          self._cell_rngs(seed, trajectories, steps)])
+            u = first_randoms(spawn_key_states(
+                seed, self._cell_keys(trajectories, steps)))
             ramp = ramp * (1.0 + self.jitter * (2.0 * u.reshape(cells) - 1.0))
         else:
             ramp = np.broadcast_to(ramp, cells)
@@ -297,8 +312,8 @@ class ShockScenario:
                     ) -> dict[str, np.ndarray]:
         # Each trajectory's static cell (its loadings) rides the same
         # seeding pass, just before its steps.
-        rngs = self._cell_rngs(seed, trajectories,
-                               np.concatenate(([_STATIC_STEP], steps)))
+        rngs = spawn_key_rngs(seed, self._cell_keys(
+            trajectories, np.concatenate(([_STATIC_STEP], steps))))
         loadings = [np.empty((trajectories.size, p.dimension))
                     for p in active]
         norms = np.empty(trajectories.size)

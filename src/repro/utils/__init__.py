@@ -11,9 +11,11 @@ from repro.utils.validation import (
 )
 from repro.utils.rng import (
     default_rng,
+    first_randoms,
     spawn_key_rngs,
     spawn_key_states,
     spawn_rngs,
+    state_rng,
 )
 from repro.utils.linalg import (
     point_to_hyperplane_distance,
@@ -35,6 +37,8 @@ __all__ = [
     "spawn_rngs",
     "spawn_key_rngs",
     "spawn_key_states",
+    "state_rng",
+    "first_randoms",
     "point_to_hyperplane_distance",
     "project_point_to_hyperplane",
     "vector_norm",

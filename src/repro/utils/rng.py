@@ -12,7 +12,9 @@ shared entropy, come from :func:`spawn_key_rngs`: it runs NumPy's
 ``SeedSequence`` pool mixing for a whole array of keys at once and hands
 the words to NumPy's own ``PCG64``, so every generator equals
 ``np.random.default_rng(SeedSequence(entropy, spawn_key=key))`` bit for
-bit at a fraction of the construction cost.
+bit at a fraction of the construction cost.  Where a cell needs only its
+first uniform draw, :func:`first_randoms` computes it from those words
+with ``PCG64``'s own arithmetic and builds no generator at all.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from numpy.random.bit_generator import ISeedSequence
 
 from repro.exceptions import SpecificationError
 
-__all__ = ["check_seed", "default_rng", "spawn_key_rngs", "spawn_key_states",
-           "spawn_rngs"]
+__all__ = ["check_seed", "default_rng", "first_randoms", "spawn_key_rngs",
+           "spawn_key_states", "spawn_rngs", "state_rng"]
 
 RngLike = "int | np.random.Generator | np.random.SeedSequence | None"
 
@@ -194,15 +196,78 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
+def state_rng(words: np.ndarray) -> np.random.Generator:
+    """NumPy's ``Generator(PCG64)`` seeded with one row of
+    :func:`spawn_key_states`, through NumPy's ``ISeedSequence``
+    interface: PCG64's seeding and every draw stay NumPy's code."""
+    return np.random.Generator(np.random.PCG64(_StateWords(words)))
+
+
 def spawn_key_rngs(entropy: int, spawn_key) -> Iterator[np.random.Generator]:
     """Yield one ``Generator`` per cell of :func:`spawn_key_states`.
 
     Each equals ``np.random.default_rng(np.random.SeedSequence(entropy,
-    spawn_key=key_i))`` bit for bit: the words go through NumPy's
-    ``ISeedSequence`` interface into its own ``PCG64``, so the bit
-    generator's seeding and every draw stay NumPy's code.  Generators
+    spawn_key=key_i))`` bit for bit (see :func:`state_rng`).  Generators
     are built as the iteration reaches them, so a consumer that draws
     from each in turn holds one at a time.
     """
     for words in spawn_key_states(entropy, spawn_key):
-        yield np.random.Generator(np.random.PCG64(_StateWords(words)))
+        yield state_rng(words)
+
+
+# ----------------------------------------------------------------------
+# PCG64's first draw in arrays
+# ----------------------------------------------------------------------
+# NumPy's PCG64 (numpy/random/src/pcg64): a 128-bit LCG with the XSL-RR
+# output.  A 128-bit value is a (high, low) pair of uint64 arrays, which
+# wrap on overflow as the C code's integers do.
+_U64 = np.uint64
+_LOW32 = _U64(0xFFFFFFFF)
+_PCG_MULT_HI, _PCG_MULT_LO = _U64(0x2360ED051FC65DA4), _U64(0x4385DF649FCCF645)
+
+
+def _mul_high(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """High 64 bits of the 128-bit product ``a * b``, from four 32-bit
+    partial products."""
+    a_lo, a_hi = a & _LOW32, a >> _U64(32)
+    b_lo, b_hi = b & _LOW32, b >> _U64(32)
+    lo_lo, lo_hi, hi_lo = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    carry = ((lo_lo >> _U64(32)) + (lo_hi & _LOW32)
+             + (hi_lo & _LOW32)) >> _U64(32)
+    return a_hi * b_hi + (lo_hi >> _U64(32)) + (hi_lo >> _U64(32)) + carry
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """``a + b`` modulo ``2**128``."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _step128(hi, lo, inc_hi, inc_lo):
+    """One LCG step, ``state * multiplier + inc`` modulo ``2**128``."""
+    prod_hi = (_mul_high(lo, _PCG_MULT_LO) + lo * _PCG_MULT_HI
+               + hi * _PCG_MULT_LO)
+    return _add128(prod_hi, lo * _PCG_MULT_LO, inc_hi, inc_lo)
+
+
+def first_randoms(states: np.ndarray) -> np.ndarray:
+    """Each row's first ``Generator.random()``, with no generator built.
+
+    ``states`` holds rows of :func:`spawn_key_states` words; entry ``i``
+    equals ``state_rng(states[i]).random()`` bit for bit.  It follows
+    NumPy's PCG64 in uint64 array arithmetic: the seeding (``state = 0``,
+    ``inc = (initseq << 1) | 1``, a step, ``state += initstate``, a
+    step), one more step for the draw, the XSL-RR output
+    ``rotr64(high ^ low, high >> 58)``, and the double ``(out >> 11) *
+    2**-53``.
+    """
+    words = np.asarray(states, dtype=np.uint64).reshape(-1, _PCG64_WORDS)
+    init_hi, init_lo, seq_hi, seq_lo = words.T
+    inc_hi = (seq_hi << _U64(1)) | (seq_lo >> _U64(63))
+    inc_lo = (seq_lo << _U64(1)) | _U64(1)
+    hi, lo = _add128(inc_hi, inc_lo, init_hi, init_lo)
+    hi, lo = _step128(hi, lo, inc_hi, inc_lo)
+    hi, lo = _step128(hi, lo, inc_hi, inc_lo)
+    mixed, rot = hi ^ lo, hi >> _U64(58)
+    out = (mixed >> rot) | (mixed << ((_U64(64) - rot) & _U64(63)))
+    return (out >> _U64(11)).astype(np.float64) * 2.0**-53

@@ -8,7 +8,9 @@ same trajectories through the scalar oracle in
 as the benchmark builds it, the multi-kind makespan system under every
 norm, HiPer-D with linear and quadratic features, the self-hosting
 system, every parameter frozen in turn, and a spike clipped at the
-parameters' physical bounds.
+parameters' physical bounds.  A chunk is evaluated as one block over
+all its trajectories' steps, so a property also checks that cutting the
+trajectories into other chunks never changes one.
 """
 
 from __future__ import annotations
@@ -17,10 +19,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.weighting import NormalizedWeighting
 from repro.resilience.chaos import bit_identical
-from repro.scenarios.replay import ReplayContext, replay_scenario
+from repro.scenarios.replay import (
+    ReplayContext,
+    _replay_chunk_task,
+    replay_scenario,
+)
 from repro.scenarios.shocks import ShockScenario
 from repro.systems.heuristics import MCT
 from repro.systems.independent import generate_etc_gamma
@@ -78,6 +86,51 @@ def test_multi_kind_makespan_every_norm(multi_kind_system, norm):
     for scenario in catalogue:
         for frozen in _frozen_choices(ctx):
             _assert_matches_oracle(ctx, scenario, frozen=frozen)
+
+
+@pytest.fixture(scope="module")
+def multi_kind_contexts(multi_kind_system) -> dict:
+    """The two-parameter system's replay context under every norm."""
+    return {norm: ReplayContext.from_analysis(
+                multi_kind_system.robustness_analysis(
+                    beta=BETA, seed=SEED, weighting=NormalizedWeighting(),
+                    include_background=True, norm=norm))
+            for norm in (1, 2, np.inf)}
+
+
+@st.composite
+def _chunk_cuts(draw):
+    """A trajectory count and the bounds of contiguous sub-chunks."""
+    n = draw(st.integers(1, 12))
+    inner = draw(st.lists(st.integers(1, n - 1), unique=True)) if n > 1 \
+        else []
+    return n, [0, *sorted(inner), n]
+
+
+@pytest.mark.parametrize("frozen", [None, "exec_times", "background"])
+@pytest.mark.parametrize("kind", ["spike", "drift", "correlated"])
+@given(cuts=_chunk_cuts(), norm=st.sampled_from([1, 2, np.inf]))
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_chunk_bounds_never_change_a_trajectory(multi_kind_system,
+                                                multi_kind_contexts, kind,
+                                                frozen, cuts, norm):
+    """One chunk over trajectories ``0..n-1`` equals its sub-chunks
+    concatenated, for a spike, a jittered drift and a correlated shock
+    with each frozen choice: no reduction of the chunk-wide block may
+    cross a trajectory."""
+    ctx = multi_kind_contexts[norm]
+    assert frozen in _frozen_choices(ctx)
+    (scenario,) = [sc for sc in makespan_scenario_catalogue(
+                       multi_kind_system, BETA, n_steps=15)
+                   if sc.kind == kind and (kind != "drift" or sc.jitter)]
+    n, bounds = cuts
+    whole = _replay_chunk_task(ctx, scenario, SEED, 0, n, frozen)
+    parts = [t for start, stop in zip(bounds, bounds[1:])
+             for t in _replay_chunk_task(ctx, scenario, SEED, start, stop,
+                                         frozen)]
+    assert [t.trajectory for t in whole] == list(range(n))
+    assert bit_identical(whole, parts), (scenario.name, frozen, bounds)
 
 
 def test_hiperd_linear_and_quadratic_features():

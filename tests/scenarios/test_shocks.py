@@ -268,3 +268,23 @@ class TestSpecGrammar:
             parse_shock_spec("kind=spike,magnitude=big")
         assert "a shock scale in pi-space units" in str(err.value)
         assert err.value.token == "magnitude=big"
+
+
+@pytest.mark.parametrize("rate", [0.0, 1.0])
+def test_spike_edge_rates_match_the_oracle(rate):
+    """A spike that never (rate 0) or always (rate 1) fires: the firing
+    test reads each cell's first draw without a generator, and the
+    firing cells' generators carry on past it as the oracle's do."""
+    from tests.scenarios.scalar_replay import scalar_displacements
+
+    sc = _scenario("spike", rate=rate)
+    trajectories = [0, 3, 2**32 - 1]
+    blocks = sc.displacement_blocks(11, trajectories, PARAMS)
+    for i, trajectory in enumerate(trajectories):
+        for step in range(sc.n_steps):
+            oracle = scalar_displacements(sc, 11, trajectory, step, PARAMS)
+            for p in PARAMS:
+                assert blocks[p.name][i, step].tobytes() == \
+                    oracle[p.name].tobytes()
+    fired = any(np.any(blocks[p.name]) for p in PARAMS)
+    assert fired == (rate == 1.0)

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from repro.exceptions import SpecificationError
 from repro.utils.rng import (
     default_rng,
+    first_randoms,
     spawn_key_rngs,
     spawn_key_states,
     spawn_rngs,
+    state_rng,
 )
 
 
@@ -152,3 +154,62 @@ class TestSpawnKeyKernel:
         first = next(rngs)
         assert isinstance(first, np.random.Generator)
         assert len(list(rngs)) == 2
+
+
+#: Entropy at every size class, up to past 2**128.
+FIRST_DRAW_ENTROPIES = st.one_of(ENTROPIES, st.integers(2**128, 2**192))
+
+
+def _numpy_first_draw(entropy, key) -> float:
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=entropy, spawn_key=key)).random()
+
+
+class TestFirstRandoms:
+    """The PCG64 first-draw kernel is NumPy's first ``random()``."""
+
+    @given(entropy=FIRST_DRAW_ENTROPIES, keys=_keys())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_first_draw_equals_numpy(self, entropy, keys):
+        key, rows = keys
+        states = spawn_key_states(entropy, key)
+        draws = first_randoms(states)
+        assert draws.dtype == np.float64
+        assert draws.shape == (len(states),)
+        for row, draw in zip(rows, draws):
+            assert draw.tobytes() == \
+                np.float64(_numpy_first_draw(entropy, row)).tobytes()
+
+    @given(entropy=FIRST_DRAW_ENTROPIES,
+           column=st.lists(st.one_of(KEY_ENTRIES,
+                                     st.integers(0, 2**32 - 1)),
+                           min_size=0, max_size=50))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_batches_equal_numpy(self, entropy, column):
+        """A batch of cells under one scenario-like key, empty included."""
+        states = spawn_key_states(
+            entropy, (2**31 - 1, np.array(column, dtype=np.int64)))
+        draws = first_randoms(states)
+        assert draws.shape == (len(column),)
+        expected = np.array([_numpy_first_draw(entropy, (2**31 - 1, entry))
+                             for entry in column], dtype=np.float64)
+        assert draws.tobytes() == expected.tobytes()
+
+    def test_empty_batch(self):
+        states = spawn_key_states(7, (1, np.array([], dtype=np.int64)))
+        assert states.shape == (0, 4)
+        draws = first_randoms(states)
+        assert draws.shape == (0,)
+        assert draws.dtype == np.float64
+
+    def test_equals_state_rng_and_leaves_its_stream(self):
+        """The kernel reads the words without advancing anything: a
+        generator built from them afterwards starts at the same draw."""
+        states = spawn_key_states(2005, (123456789, np.arange(64)))
+        draws = first_randoms(states)
+        for words, draw in zip(states, draws):
+            rng = state_rng(words)
+            assert rng.random() == draw
+            assert rng.random() != draw
